@@ -3,16 +3,23 @@
 The simulator answers probes in microseconds, but a real scan is
 latency-bound: each probe spends most of its time waiting on the
 residential exit's round trip (the paper's scans push ~4.2M probes
-through Luminati).  ``SimulatedLatencyClient`` restores that property by
-sleeping a fixed per-request latency inside the client, so this
-benchmark measures exactly what the engine is for — overlapping network
-wait across workers — while the deterministic merge keeps the output
-byte-identical to the serial scan.
+through Luminati).  The benchmark restores that property by patching a
+fixed per-request sleep onto ``LuminatiClient.request`` itself, so it
+measures exactly what the engine is for — overlapping network wait
+across workers — while the deterministic merge keeps the output
+byte-identical to the serial scan.  The patch sits on the class, not on
+a subclass instance: process workers rebuild a plain ``LuminatiClient``
+from the scanner's spec, and a fork-started worker inherits the patched
+method, so the latency reaches every worker.
 
 The latency is calibrated from the measured CPU cost of a serial scan
 (20× the per-probe CPU time, floored at 4 ms), keeping the benchmark
-honest on fast and slow hosts alike: the speedup ceiling at 4 workers
-is ~3.8×, and the assertion requires >= 3×.
+honest on fast and slow hosts alike.  Each pool worker pays a one-time
+start (fork plus worldpack map, ~0.12 s to the first merged chunk on a
+2-CPU host) and probes from cold page caches.  So both timed scans run
+on freshly built worlds, and the slice spans 30 countries — long enough
+to amortize the start.  On a 2-CPU host the speedup at 4 workers
+measures 3.2-3.5×; the assertion requires >= 3×.
 """
 
 from __future__ import annotations
@@ -22,24 +29,25 @@ import time
 from repro.lumscan.engine import ScanEngine
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
+from repro.websim.world import World
 
 SEED = 11
 SAMPLES = 2
-COUNTRIES = ["US", "DE", "IR"]
+#: Countries in the scan slice (US, DE and IR first, then the client's
+#: country order).
+N_COUNTRIES = 30
 WORKERS = 4
 MIN_SPEEDUP = 3.0
 
 
-class SimulatedLatencyClient(LuminatiClient):
-    """LuminatiClient with a fixed per-request network round trip."""
+def _with_latency(request, latency: float):
+    """``request`` behind a fixed per-request network round trip."""
 
-    def __init__(self, world, latency: float) -> None:
-        super().__init__(world)
-        self.latency = latency
+    def slow_request(self, *args, **kwargs):
+        time.sleep(latency)
+        return request(self, *args, **kwargs)
 
-    def request(self, *args, **kwargs):
-        time.sleep(self.latency)
-        return super().request(*args, **kwargs)
+    return slow_request
 
 
 def _scan_urls(world, n=20):
@@ -52,43 +60,60 @@ def _scan_urls(world, n=20):
     return urls
 
 
+def _countries(world):
+    rest = [c for c in LuminatiClient(world).countries()
+            if c not in ("US", "DE", "IR")]
+    return ["US", "DE", "IR"] + rest[:N_COUNTRIES - 3]
+
+
 def _rows(data):
     return [data.row(i) for i in range(len(data))]
 
 
-def _calibrate_latency(world, urls) -> float:
+def _calibrate_latency(world, urls, countries) -> float:
     """Per-request latency = 20x the measured per-probe CPU cost."""
     scanner = Lumscan(LuminatiClient(world), seed=SEED)
     started = time.perf_counter()
-    data = scanner.scan(urls, COUNTRIES, samples=SAMPLES)
+    data = scanner.scan(urls, countries, samples=SAMPLES)
     per_probe = (time.perf_counter() - started) / len(data)
     return max(0.004, 20.0 * per_probe)
 
 
-def test_parallel_scan_speedup(world):
+def test_parallel_scan_speedup(world, monkeypatch):
     urls = _scan_urls(world)
-    latency = _calibrate_latency(world, urls)
+    countries = _countries(world)
+    latency = _calibrate_latency(world, urls, countries)
+    # Installed before the pool forks, so the workers' rebuilt clients
+    # sleep too (the way tests/test_engine_process.py patches chunks).
+    monkeypatch.setattr(LuminatiClient, "request",
+                        _with_latency(LuminatiClient.request, latency))
 
-    serial_scanner = Lumscan(SimulatedLatencyClient(world, latency), seed=SEED)
+    # Both timed scans start from a freshly built world: pool workers
+    # always probe from cold page caches, so the serial side does too.
+    serial_scanner = Lumscan(LuminatiClient(World(world.config)), seed=SEED)
     started = time.perf_counter()
-    serial = serial_scanner.scan(urls, COUNTRIES, samples=SAMPLES)
+    serial = serial_scanner.scan(urls, countries, samples=SAMPLES)
     serial_time = time.perf_counter() - started
 
-    engine = ScanEngine(Lumscan(SimulatedLatencyClient(world, latency),
-                                seed=SEED),
-                        workers=WORKERS, chunk_size=4)
+    client = LuminatiClient(World(world.config))
+    engine = ScanEngine(Lumscan(client, seed=SEED), workers=WORKERS,
+                        chunk_size=4)
     started = time.perf_counter()
-    parallel = engine.scan(urls, COUNTRIES, samples=SAMPLES)
+    parallel = engine.scan(urls, countries, samples=SAMPLES)
     parallel_time = time.perf_counter() - started
 
     # Correctness first: the parallel dataset is identical to the serial
     # one, record for record.
     assert _rows(parallel) == _rows(serial)
+    # The latency reached the workers: the requests they reported back
+    # slept at least this long, spread over the pool.
+    assert parallel_time >= client.request_count * latency / WORKERS
 
     speedup = serial_time / parallel_time
     print(f"\nscan stage: serial {serial_time:.2f}s, "
           f"{WORKERS} workers {parallel_time:.2f}s, speedup {speedup:.2f}x "
-          f"(latency {latency * 1000:.1f} ms/probe)")
+          f"(latency {latency * 1000:.1f} ms/probe, worker start "
+          f"{engine.worker_init_stats().spawn_seconds:.2f}s summed)")
     assert speedup >= MIN_SPEEDUP, (
         f"expected >= {MIN_SPEEDUP}x speedup at {WORKERS} workers, "
         f"got {speedup:.2f}x")
@@ -97,15 +122,16 @@ def test_parallel_scan_speedup(world):
 def test_engine_overhead_negligible_serial(world):
     """workers=1 engine path adds no measurable cost over the plain loop."""
     urls = _scan_urls(world, n=10)
+    countries = ["US", "DE", "IR"]
     scanner = Lumscan(LuminatiClient(world), seed=SEED)
 
     started = time.perf_counter()
-    direct = scanner.scan(urls, COUNTRIES, samples=SAMPLES)
+    direct = scanner.scan(urls, countries, samples=SAMPLES)
     direct_time = time.perf_counter() - started
 
     engine = ScanEngine(Lumscan(LuminatiClient(world), seed=SEED), workers=1)
     started = time.perf_counter()
-    engined = engine.scan(urls, COUNTRIES, samples=SAMPLES)
+    engined = engine.scan(urls, countries, samples=SAMPLES)
     engine_time = time.perf_counter() - started
 
     assert _rows(engined) == _rows(direct)

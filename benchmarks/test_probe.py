@@ -9,13 +9,11 @@ worlds (cold page caches, the state a real scan starts from):
   ``page_length`` replaying ``generate_page``'s RNG draws without
   building the page, plus skipping the jitter concatenation for bodies
   the dataset would drop anyway.
-* **Process sharding**: at 4 workers the ``ProcessPoolExecutor`` shape
-  (columnar shard exchange, streaming merge) must beat both the
-  GIL-bound thread pool *and* a plain serial scan on wall clock.  The
-  container this repo develops in has a single core, so those assertions
-  are gated on ``os.cpu_count() >= 2`` (CI runners have more); the
-  timings are recorded unconditionally, including a 1/2/4-worker scaling
-  curve and a shard-vs-pickle exchange comparison.
+* **Process sharding**: at 4 workers the process pool (columnar shard
+  exchange, streaming merge) must beat a plain serial scan on wall
+  clock.  The assertion is gated on ``os.cpu_count() >= 2``; the timings
+  are recorded unconditionally, including a 1/2/4-worker scaling
+  curve.
 
 Throughputs land in ``BENCH_probe.json`` at the repo root so CI keeps a
 trajectory across commits.
@@ -42,8 +40,8 @@ WORLD_SEED = 7
 SCAN_SEED = 9
 DOMAINS = 300
 COUNTRIES = 3
-#: The executor comparison uses a wider country slice so the scan is long
-#: enough to amortize each process worker's one-time world rebuild.
+#: The pool-vs-serial comparison uses a wider country slice so the scan
+#: is long enough to amortize each process worker's one-time world load.
 EXECUTOR_COUNTRIES = 20
 SAMPLES = 3
 WORKERS = 4
@@ -111,13 +109,12 @@ def test_fast_lane_speedup_single_worker():
         f"got {speedup:.2f}x")
 
 
-def _process_engine_factory(workers: int, exchange: str, engines=None):
+def _process_engine_factory(workers: int, engines=None):
     """Engine factory; ``engines`` (a list) collects every built engine so
     the caller can read worker-init stats off the one that ran."""
     def factory(world):
         engine = ScanEngine(Lumscan(LuminatiClient(world), seed=SCAN_SEED),
-                            workers=workers, executor="process",
-                            exchange=exchange)
+                            workers=workers)
         if engines is not None:
             engines.append(engine)
         return engine
@@ -129,21 +126,14 @@ def test_executor_scaling():
     serial, serial_rate, _ = _timed_scan(
         lambda world: Lumscan(LuminatiClient(world), seed=SCAN_SEED),
         n_countries=EXECUTOR_COUNTRIES)
-    threaded, thread_rate, thread_time = _timed_scan(
-        lambda world: ScanEngine(Lumscan(LuminatiClient(world),
-                                         seed=SCAN_SEED),
-                                 workers=WORKERS, executor="thread"),
-        n_countries=EXECUTOR_COUNTRIES)
     process_engines = []
     processed, process_rate, process_time = _timed_scan(
-        _process_engine_factory(WORKERS, "auto", process_engines),
+        _process_engine_factory(WORKERS, process_engines),
         n_countries=EXECUTOR_COUNTRIES)
 
-    assert _rows(threaded) == _rows(serial)
     assert _rows(processed) == _rows(serial)
 
-    # The multi-core scaling curve: shard exchange across worker counts,
-    # plus the legacy pickle return path at full width for comparison.
+    # The multi-core scaling curve across worker counts.
     # Single-repeat per point keeps the curve affordable; the headline
     # numbers above stay best-of-2.  Every point carries the shared
     # cpu-count/oversubscription fields (see bench_util) — on a 1-CPU
@@ -157,56 +147,37 @@ def test_executor_scaling():
         else:
             engines = []
             point, rate, elapsed = _timed_scan(
-                _process_engine_factory(workers, "auto", engines),
+                _process_engine_factory(workers, engines),
                 repeat=1, n_countries=EXECUTOR_COUNTRIES)
             assert _rows(point) == _rows(serial)
             engine = engines[-1]
-        curve.append({"workers": workers, "exchange": "shard",
+        curve.append({"workers": workers,
                       "probes_per_sec": round(rate, 1),
                       "seconds": round(elapsed, 2),
                       **oversubscription_fields(workers),
                       **worker_rss_fields(engine)})
-    pickle_engines = []
-    pickled, pickle_rate, pickle_time = _timed_scan(
-        _process_engine_factory(WORKERS, "pickle", pickle_engines),
-        repeat=1, n_countries=EXECUTOR_COUNTRIES)
-    assert _rows(pickled) == _rows(serial)
-    curve.append({"workers": WORKERS, "exchange": "pickle",
-                  "probes_per_sec": round(pickle_rate, 1),
-                  "seconds": round(pickle_time, 2),
-                  **oversubscription_fields(WORKERS),
-                  **worker_rss_fields(pickle_engines[-1])})
 
     print(f"\nexecutors ({cpus} cpus, {WORKERS} workers): "
           f"serial {serial_rate:,.0f} probes/s, "
-          f"thread {thread_rate:,.0f} probes/s ({thread_time:.2f}s), "
-          f"process/shard {process_rate:,.0f} probes/s ({process_time:.2f}s), "
-          f"process/pickle {pickle_rate:,.0f} probes/s ({pickle_time:.2f}s)")
+          f"process {process_rate:,.0f} probes/s ({process_time:.2f}s)")
     for point in curve:
         tag = " [oversubscribed]" if point["oversubscribed"] else ""
-        print(f"  {point['workers']} workers ({point['exchange']}): "
+        print(f"  {point['workers']} workers: "
               f"{point['probes_per_sec']:,.0f} probes/s{tag}")
     payload = {
         "cpus": cpus,
         "workers": WORKERS,
         "probes": len(serial),
         "serial_probes_per_sec": round(serial_rate, 1),
-        "thread_probes_per_sec": round(thread_rate, 1),
         "process_probes_per_sec": round(process_rate, 1),
-        "process_pickle_probes_per_sec": round(pickle_rate, 1),
         "scaling_curve": curve,
     }
     if any(point["oversubscribed"] for point in curve):
         payload["note"] = oversubscription_note(WORKERS)
     write_trajectory("probe", "executor_scaling", payload)
     if cpus >= 2:
-        # The simulated transport never blocks, so threads are GIL-bound
-        # and the process pool is the only shape that can actually scale.
-        # With the shard exchange the pool must also beat a plain serial
-        # scan outright — the multi-core win the exchange exists for.
-        assert process_rate > thread_rate, (
-            f"process pool ({process_rate:,.0f}/s) should beat the thread "
-            f"pool ({thread_rate:,.0f}/s) on {cpus} cpus")
+        # With the shard exchange the pool must beat a plain serial scan
+        # outright — the multi-core win the exchange exists for.
         assert process_rate >= serial_rate, (
             f"process pool ({process_rate:,.0f}/s) should beat a serial "
             f"scan ({serial_rate:,.0f}/s) on {cpus} cpus")

@@ -93,7 +93,7 @@ def test_freeze_is_cheaper_than_one_rebuild():
 
     The 5x gate above covers the per-worker win; this one covers the
     parent's up-front cost, which must be recouped by the *first* worker
-    for ``world_source="auto"`` to be a safe default at any pool width.
+    for the engine's always-freeze policy to pay off at any pool width.
     A small world keeps this check cheap — the freeze cost is dominated
     by per-domain encoding, so the ratio transfers to larger scales.
     """

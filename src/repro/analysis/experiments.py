@@ -32,6 +32,7 @@ from repro.core.pipeline import (
     Top10KResult,
     Top1MResult,
     VPSExplorationResult,
+    _build_engine,
     build_observation_pools,
     run_top10k_study,
     run_top1m_study,
@@ -45,7 +46,6 @@ from repro.datasets.ooni import (
     control_blocking_stats,
     find_geoblock_confounding,
 )
-from repro.lumscan.engine import ScanEngine
 from repro.lumscan.scanner import Lumscan
 from repro.proxynet.luminati import LuminatiClient
 from repro.websim.world import World
@@ -196,9 +196,9 @@ class ExperimentSuite:
 
         if include_pools and result.confirmed:
             pairs = [(c.domain, c.country) for c in result.confirmed][:pool_pairs]
-            scanner = ScanEngine(Lumscan(self.luminati, seed=self.config.seed),
-                                 workers=self.config.workers,
-                                 executor=self.config.executor)
+            scanner = _build_engine(
+                Lumscan(self.luminati, seed=self.config.seed), self.config,
+                None)
             pools = build_observation_pools(world, scanner, pairs,
                                             result.registry,
                                             samples=pool_samples)
@@ -324,9 +324,8 @@ class ExperimentSuite:
         from repro.core.timeouts import run_timeout_study
         from repro.websim.policies import ACTION_DROP
 
-        scanner = ScanEngine(Lumscan(self.luminati, seed=self.config.seed),
-                             workers=self.config.workers,
-                             executor=self.config.executor)
+        scanner = _build_engine(
+            Lumscan(self.luminati, seed=self.config.seed), self.config, None)
         study = run_timeout_study(scanner, result.initial)
         report.findings["timeout.candidates"] = len(study.candidates)
         report.findings["timeout.confirmed"] = len(study.confirmed)

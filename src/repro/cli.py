@@ -39,10 +39,8 @@ def _world(scale: str, seed: int) -> World:
 def _cmd_run(args: argparse.Namespace) -> int:
     world = _world(args.scale, args.seed)
     config = StudyConfig(seed=args.seed, workers=max(1, args.workers),
-                         executor=args.executor, exchange=args.exchange,
-                         merge=args.merge,
-                         target_chunk_ms=max(0, args.target_chunk_ms),
-                         world_source=args.world_source)
+                         exchange=args.exchange, merge=args.merge,
+                         target_chunk_ms=max(0, args.target_chunk_ms))
     suite = ExperimentSuite(world, study_config=config,
                             checkpoint_dir=args.checkpoint_dir,
                             resume=args.resume,
@@ -352,19 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip stages with complete checkpoints "
                           "(requires --checkpoint-dir)")
     run.add_argument("--workers", type=int, default=1,
-                     help="scan-engine worker pool width; output is "
-                          "identical for any count (default: 1)")
-    run.add_argument("--executor", default="thread",
-                     choices=("thread", "process"),
-                     help="scan-engine pool shape; 'process' sidesteps the "
-                          "GIL for the CPU-bound simulated probes "
-                          "(default: thread)")
+                     help="scan-engine width: 1 probes inline, N > 1 runs "
+                          "a pool of N processes; output is identical for "
+                          "any count (default: 1)")
     run.add_argument("--exchange", default="auto",
-                     choices=("auto", "shm", "file", "pickle"),
+                     choices=("auto", "shm", "file"),
                      help="process-worker result transport: columnar shard "
-                          "segments in shared memory or spill files, or the "
-                          "legacy whole-dataset pickle; 'auto' prefers "
-                          "shared memory (default: auto)")
+                          "segments in shared memory or spill files; 'auto' "
+                          "prefers shared memory (default: auto)")
     run.add_argument("--merge", default="memory",
                      choices=("memory", "spill"),
                      help="process-merge sink: accumulate worker shards in "
@@ -374,18 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="autotune process chunks toward this wall-time "
                           "per chunk; 0 keeps a fixed chunk size "
                           "(default: 250)")
-    run.add_argument("--world-source", default="auto",
-                     choices=("auto", "pack", "rebuild"),
-                     help="how process workers obtain the world: map the "
-                          "parent's frozen worldpack zero-copy, or rebuild "
-                          "from the spec; 'auto' freezes and falls back to "
-                          "rebuild when freezing fails (default: auto)")
     run.add_argument("--checkpoint-format", default="lshd",
-                     choices=("lshd", "lshm", "jsonl.gz", "jsonl"),
+                     choices=("lshd", "lshm"),
                      help="dataset codec for checkpoints; 'lshm' writes "
                           "manifest-backed multi-segment datasets; loads "
                           "sniff magic bytes so resume works across formats "
-                          "(default: lshd)")
+                          "and reads legacy JSONL checkpoints (default: lshd)")
     run.set_defaults(func=_cmd_run)
 
     top10k = sub.add_parser("top10k", help="run only the Top-10K study")

@@ -64,6 +64,7 @@ from repro.lumscan.scanner import Lumscan, LumscanConfig
 from repro.proxynet.luminati import LuminatiClient
 from repro.proxynet.vps import VPSFleet
 from repro.run import (
+    EXECUTION_ONLY,
     KIND_DATASET,
     ArtifactSpec,
     ArtifactStore,
@@ -80,7 +81,14 @@ from repro.websim.world import World
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Parameters of the measurement methodology (paper defaults)."""
+    """Parameters of the measurement methodology (paper defaults).
+
+    The fields marked :data:`~repro.run.EXECUTION_ONLY` only shape the
+    scan engine (:func:`_build_engine`): output is byte-identical across
+    them, so stage fingerprints leave them out.  ``executor`` and
+    ``world_source`` select nothing: they accept only ``"process"`` (or
+    ``"thread"`` at ``workers=1``) and ``"auto"``.
+    """
 
     samples_initial: int = 3          # baseline samples per pair
     samples_confirm: int = 20         # confirmation samples per pair
@@ -93,12 +101,23 @@ class StudyConfig:
     min_cluster_size: int = 1
     sample_fraction_top1m: float = 0.85  # §5.1.2 sampling of safe customers
     seed: int = 0
-    workers: int = 1                  # scan-engine pool width (1 = inline)
-    executor: str = "thread"          # scan-engine pool shape (or "process")
-    exchange: str = "auto"            # worker→parent result transport
-    merge: str = "memory"             # process-merge sink ("spill" = on-disk)
-    target_chunk_ms: int = 250        # chunk autotune target (0 = fixed)
-    world_source: str = "auto"        # worker world: frozen pack or rebuild
+    # scan-engine pool width (1 = inline, >1 = process pool)
+    workers: int = field(default=1, metadata=EXECUTION_ONLY)
+    executor: str = field(default="process", metadata=EXECUTION_ONLY)
+    # worker→parent shard transport ("auto", "shm" or "file")
+    exchange: str = field(default="auto", metadata=EXECUTION_ONLY)
+    # process-merge sink ("memory", or "spill" = on-disk)
+    merge: str = field(default="memory", metadata=EXECUTION_ONLY)
+    # chunk autotune target (0 = fixed chunk size)
+    target_chunk_ms: int = field(default=250, metadata=EXECUTION_ONLY)
+    world_source: str = field(default="auto", metadata=EXECUTION_ONLY)
+
+    def __post_init__(self) -> None:
+        if self.world_source != "auto":
+            raise ValueError(
+                f"world_source must be 'auto' (workers map a frozen "
+                f"worldpack, or rebuild when freezing fails), got "
+                f"{self.world_source!r}")
 
 
 def registry_salt(registry: Optional[FingerprintRegistry]) -> str:
@@ -128,7 +147,7 @@ def _study_store(checkpoint_dir: Optional[str], study: str,
 
 def _build_engine(scanner: Lumscan, cfg: StudyConfig,
                   store: Optional[ArtifactStore]) -> ScanEngine:
-    """The study's scan engine, spilling shard files under its store.
+    """The scan engine for ``cfg``; every engine a study builds comes here.
 
     When the study checkpoints, file-mode shard segments live inside the
     checkpoint directory (one ``lshd-*`` session dir per scan, removed on
@@ -139,8 +158,7 @@ def _build_engine(scanner: Lumscan, cfg: StudyConfig,
     return ScanEngine(scanner, workers=cfg.workers, executor=cfg.executor,
                       exchange=cfg.exchange, merge=cfg.merge,
                       spill_dir=store.directory if store else None,
-                      target_chunk_seconds=target,
-                      world_source=cfg.world_source)
+                      target_chunk_seconds=target)
 
 
 # ===================================================================== #

@@ -335,7 +335,6 @@ SERIALIZATION_FUNCTIONS = frozenset({
 WORKER_ROOTS = (
     "repro.lumscan.engine.record_probe",
     "repro.lumscan.engine._process_run_chunk",
-    "repro.lumscan.engine.ScanEngine._run_chunk",
     "repro.lumscan.scanner.Lumscan.run_task",
     "repro.proxynet.luminati.LuminatiClient.request",
     "repro.proxynet.transport.fetch_with_redirects",

@@ -40,7 +40,7 @@ class Scanner(Protocol):
 
 @runtime_checkable
 class SpawnableScanner(Protocol):
-    """The extra contract ``ScanEngine(executor="process")`` requires.
+    """The extra contract a ``ScanEngine`` with ``workers > 1`` requires.
 
     A spawnable scanner can describe itself as a picklable spec that a
     worker process rebuilds into a bit-identical replica, and can fold the

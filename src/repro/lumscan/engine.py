@@ -14,37 +14,35 @@ count**.  Two mechanisms make that possible:
    a pure function of its task identity, never of which worker ran it or
    what ran before it.
 2. **Deterministic sharding + ordered merge.**  Tasks are enumerated in
-   the canonical serial order, split into contiguous chunks, and executed
-   by a ``ThreadPoolExecutor``; results are merged back in chunk order, so
-   completion order is irrelevant.
+   the canonical serial order, split into contiguous chunks, and merged
+   back in chunk order, so completion order is irrelevant.
 
-The engine offers two pool shapes.  ``executor="thread"`` matches the
-real tool's latency-bound profile.  The *simulated* transport, however,
-never blocks — a thread pool is GIL-bound and buys little — so
-``executor="process"`` ships task chunks to a ``ProcessPoolExecutor``:
-each worker process rebuilds the scanner once from a picklable
-:class:`~repro.lumscan.scanner.ScannerSpec` and runs chunks carved from
-the canonical task order.  Three mechanisms keep the process pool's
-merge path off the critical path:
+The engine has exactly two execution paths, chosen by ``workers``:
+``workers=1`` runs every task inline in the calling process, and
+``workers>1`` ships task chunks to a ``ProcessPoolExecutor`` (the
+simulated transport never blocks, so only processes buy parallelism).
+Each worker process maps the parent's frozen worldpack (or, when
+freezing fails, rebuilds the world from the picklable
+:class:`~repro.lumscan.scanner.ScannerSpec`) once, then runs chunks
+carved from the canonical task order.  Three mechanisms keep the
+process pool's merge path off the critical path:
 
-* **Columnar shard exchange** (default): workers serialize chunk
-  results into flat binary segments (:mod:`repro.lumscan.shards` —
-  shared-memory blocks or mmap-able spill files) and return only a tiny
-  handle; the parent maps each segment and bulk-extends with zero row
-  decode.  ``exchange="pickle"`` keeps the legacy whole-dataset pickle
-  path for comparison.
+* **Columnar shard exchange**: workers serialize chunk results into flat
+  binary segments (:mod:`repro.lumscan.shards` — shared-memory blocks or
+  mmap-able spill files) and return only a tiny handle; the parent maps
+  each segment and bulk-extends with zero row decode.
 * **Streaming merge**: chunk results are consumed *as they complete*
   (``FIRST_COMPLETED`` waits plus a :class:`ChunkReorderBuffer` that
   restores chunk-sequence order), so the parent never barriers on the
   pool and holds at most a bounded window of unmerged shards — parent
   memory stays flat.  Because merges still happen in sequence order,
   the merged bytes are identical to serial for any completion order.
-* **Spill-backed merge** (``merge="spill"``): the streaming merge
-  appends shards to a :class:`~repro.lumscan.shards.SpillDatasetBuilder`
-  instead of an in-RAM dataset, and the finished result comes back as a
-  zero-copy mapped dataset over one on-disk segment — the merged parent
-  result never needs to fit in memory, and the bytes (hence the mapped
-  dataset) are identical to the in-memory merge.
+  With ``merge="spill"`` the merge appends shards to a
+  :class:`~repro.lumscan.shards.SpillDatasetBuilder` instead of an
+  in-RAM dataset, and the finished result comes back as a zero-copy
+  mapped dataset over one on-disk segment — the merged parent result
+  never needs to fit in memory, and its bytes are identical to the
+  in-memory merge.
 * **Latency-driven chunk autotuning**: a :class:`ChunkAutotuner` sizes
   the next chunk from the observed probes/s so each chunk lands near a
   target wall-time (amortizing dispatch without starving the stream).
@@ -57,12 +55,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,25 +79,13 @@ from repro.util.memory import rss_bytes
 
 #: Tasks per work unit handed to the pool.  Small enough that the pool
 #: load-balances uneven chunks, large enough to amortize dispatch.  The
-#: process executor treats this as the *initial* size and autotunes from
-#: there (see :class:`ChunkAutotuner`).
+#: pool treats this as the *initial* size and autotunes from there (see
+#: :class:`ChunkAutotuner`).
 DEFAULT_CHUNK_SIZE = 64
-
-#: Valid ``ScanEngine(executor=...)`` values.
-EXECUTORS = ("thread", "process")
-
-#: Valid ``ScanEngine(exchange=...)`` values: the shard transports plus
-#: the legacy whole-dataset pickle return path.
-EXCHANGES = EXCHANGE_MODES + ("pickle",)
 
 #: Valid ``ScanEngine(merge=...)`` values: hold the merged dataset in
 #: parent RAM, or stream it into an on-disk segment and map it back.
 MERGES = ("memory", "spill")
-
-#: Valid ``ScanEngine(world_source=...)`` values: freeze the world when
-#: possible ("auto"), require the frozen pack ("pack"), or force every
-#: worker onto the legacy spec rebuild ("rebuild").
-WORLD_SOURCES = ("auto", "pack", "rebuild")
 
 #: Outstanding chunks per worker: enough that a worker finishing early
 #: always has a queued chunk, small enough to bound unmerged backlog.
@@ -302,7 +283,7 @@ class ChunkAutotuner:
         self._size = max(self._min, min(self._max, proposed))
 
 
-# Module-level worker state for the process executor: each worker process
+# Module-level worker state for the process pool: each worker process
 # builds its scanner replica once (in the pool initializer) and tracks the
 # traffic counts it last reported, so every chunk returns exact deltas.
 _WORKER_SCANNER = None
@@ -315,7 +296,7 @@ _WORKER_CLOCK: Clock = SYSTEM_CLOCK
 _WORKER_INIT_INFO: Optional[dict] = None
 
 
-def _process_worker_init(spec, exchange_spec: Optional[ExchangeSpec],
+def _process_worker_init(spec, exchange_spec: ExchangeSpec,
                          clock: Clock) -> None:
     global _WORKER_SCANNER, _WORKER_COUNTS, _WORKER_EXCHANGE, _WORKER_CLOCK
     global _WORKER_INIT_INFO
@@ -345,12 +326,11 @@ def _process_worker_init(spec, exchange_spec: Optional[ExchangeSpec],
 def _process_run_chunk(seq: int, chunk: List[ProbeTask]):
     """Run one chunk in a worker.
 
-    Returns ``(seq, payload, request_delta, fetch_delta, tasks,
-    elapsed, init_info)`` where ``payload`` is a :class:`ShardHandle`
-    under the shard exchange (the rows stay in the segment) or a trimmed
-    columnar :class:`ScanDataset` under the legacy pickle exchange, and
-    ``init_info`` is this worker's one-time spawn-cost record (None on
-    every chunk after the first).
+    Returns ``(seq, handle, request_delta, fetch_delta, tasks, elapsed,
+    init_info)`` where ``handle`` is the :class:`ShardHandle` of the
+    chunk's rows (they stay in the segment) and ``init_info`` is this
+    worker's one-time spawn-cost record (None on every chunk after the
+    first).
     """
     global _WORKER_COUNTS, _WORKER_INIT_INFO
     scanner = _WORKER_SCANNER
@@ -363,12 +343,9 @@ def _process_run_chunk(seq: int, chunk: List[ProbeTask]):
     prev_requests, prev_fetches = _WORKER_COUNTS
     _WORKER_COUNTS = (requests, fetches)
     elapsed = stopwatch.elapsed()
-    if _WORKER_EXCHANGE is None:
-        payload = data
-    else:
-        payload = write_shard(data.export_columns(), _WORKER_EXCHANGE, seq)
+    handle = write_shard(data.export_columns(), _WORKER_EXCHANGE, seq)
     init_info, _WORKER_INIT_INFO = _WORKER_INIT_INFO, None
-    return (seq, payload, requests - prev_requests,
+    return (seq, handle, requests - prev_requests,
             fetches - prev_fetches, len(chunk), elapsed, init_info)
 
 
@@ -377,53 +354,50 @@ class ScanEngine:
 
     Drop-in compatible with the scanner's ``scan`` / ``resample`` API; the
     study pipelines accept either.  ``workers=1`` executes inline with no
-    pool, and is byte-identical to any ``workers=k`` run by construction.
+    pool; ``workers>1`` runs the process pool.  Both are byte-identical
+    by construction.
 
-    ``merge="spill"`` routes the process pool's streaming merge through
-    a :class:`SpillDatasetBuilder`: ``scan``/``resample`` then return a
-    *new* mapped dataset (the caller-passed ``dataset``, if any, seeds
-    the builder but is not mutated), with records identical to the
-    in-memory merge.  Runs that take the inline shortcut (``workers=1``
-    or a single task) still merge in memory.
+    ``exchange`` picks the shard transport (``"auto"``, ``"shm"`` or
+    ``"file"``).  ``merge="spill"`` routes the process pool's streaming
+    merge through a :class:`SpillDatasetBuilder`: ``scan``/``resample``
+    then return a *new* mapped dataset (the caller-passed ``dataset``, if
+    any, seeds the builder but is not mutated), with records identical
+    to the in-memory merge.  Runs that take the inline shortcut
+    (``workers=1`` or a single task) still merge in memory.
+
+    ``executor`` selects nothing: it is accepted for older callers as
+    ``"process"`` at any width, or ``"thread"`` at ``workers=1`` (which
+    never built a pool), and any other value raises ``ValueError``.
     """
 
     def __init__(self, scanner, workers: int = 1,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 executor: str = "thread",
+                 executor: str = "process",
                  exchange: str = "auto",
                  merge: str = "memory",
                  spill_dir: Optional[str] = None,
                  target_chunk_seconds: Optional[float] =
                  DEFAULT_TARGET_CHUNK_SECONDS,
-                 clock: Optional[Clock] = None,
-                 world_source: str = "auto") -> None:
+                 clock: Optional[Clock] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if executor not in EXECUTORS:
+        if executor != "process" and not (executor == "thread"
+                                          and workers == 1):
             raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if exchange not in EXCHANGES:
+                f"executor must be 'process' (or 'thread' at workers=1), "
+                f"got {executor!r} with workers={workers}")
+        if exchange not in EXCHANGE_MODES:
             raise ValueError(
-                f"exchange must be one of {EXCHANGES}, got {exchange!r}")
+                f"exchange must be one of {EXCHANGE_MODES}, got {exchange!r}")
         if merge not in MERGES:
             raise ValueError(
                 f"merge must be one of {MERGES}, got {merge!r}")
-        if merge == "spill" and executor != "process":
-            raise ValueError(
-                "merge='spill' requires executor='process' (the spill "
-                "builder backs the process pool's streaming merge)")
-        if world_source not in WORLD_SOURCES:
-            raise ValueError(
-                f"world_source must be one of {WORLD_SOURCES}, "
-                f"got {world_source!r}")
         self._merge = merge
-        self._world_source = world_source
         self._scanner = scanner
         self._workers = workers
         self._chunk_size = chunk_size
-        self._executor = executor
         self._exchange = exchange
         self._spill_dir = spill_dir
         self._target_chunk_seconds = target_chunk_seconds
@@ -433,26 +407,6 @@ class ScanEngine:
     def workers(self) -> int:
         """Configured pool width."""
         return self._workers
-
-    @property
-    def executor(self) -> str:
-        """Configured pool shape ("thread" or "process")."""
-        return self._executor
-
-    @property
-    def exchange(self) -> str:
-        """Configured worker-result transport ("auto"/"shm"/"file"/"pickle")."""
-        return self._exchange
-
-    @property
-    def merge(self) -> str:
-        """Configured merge sink ("memory" or "spill")."""
-        return self._merge
-
-    @property
-    def world_source(self) -> str:
-        """Configured worker world source ("auto"/"pack"/"rebuild")."""
-        return self._world_source
 
     def worker_init_stats(self):
         """The scanner's accumulated worker spawn/build costs, if tracked."""
@@ -497,7 +451,7 @@ class ScanEngine:
         """Run ``tasks`` and append the result as one manifest segment.
 
         The engine's **append mode**: the run executes into a fresh
-        dataset exactly as usual (any executor/exchange/merge mode),
+        dataset exactly as usual (any worker count, exchange or merge),
         the finished rows are written as one fingerprinted segment
         beside ``manifest_path`` (created when missing), and the
         manifest gains one entry — prior segments are never read or
@@ -523,25 +477,7 @@ class ScanEngine:
                 record_probe(data, task.domain, task.country,
                              self._scanner.run_task(task))
             return data
-
-        if self._executor == "process":
-            return self._execute_processes(tasks, data)
-        chunks = [tasks[i:i + self._chunk_size]
-                  for i in range(0, len(tasks), self._chunk_size)]
-        logger.debug("engine: %d tasks in %d chunks over %d %s workers",
-                     len(tasks), len(chunks), self._workers, self._executor)
-        with ThreadPoolExecutor(max_workers=self._workers) as pool:
-            # Executor.map yields chunk results in submission order, so the
-            # merge below reproduces the serial record order exactly even
-            # though chunks complete out of order.
-            for results in pool.map(self._run_chunk, chunks):
-                for task, result in results:
-                    record_probe(data, task.domain, task.country, result)
-        return data
-
-    def _run_chunk(self, chunk: List[ProbeTask]):
-        run = self._scanner.run_task
-        return [(task, run(task)) for task in chunk]
+        return self._execute_processes(tasks, data)
 
     def _execute_processes(self, tasks: List[ProbeTask],
                            data: ScanDataset) -> ScanDataset:
@@ -549,15 +485,13 @@ class ScanEngine:
         spawn = getattr(scanner, "spawn_spec", None)
         if spawn is None:
             raise TypeError(
-                f"executor='process' needs a spawnable scanner "
+                f"workers > 1 needs a spawnable scanner "
                 f"(spawn_spec/worker_counts/absorb_worker_counts); "
                 f"{type(scanner).__name__} has no spawn_spec")
         spec = spawn()
         pack = self._freeze_world_pack()
         if pack is not None:
             spec = replace(spec, world_source=pack.handle)
-        exchange = None if self._exchange == "pickle" else \
-            ShardExchange(self._exchange, spill_dir=self._spill_dir)
         tuner = ChunkAutotuner(initial=self._chunk_size,
                                target_seconds=self._target_chunk_seconds)
         buffer = ChunkReorderBuffer()
@@ -574,9 +508,9 @@ class ScanEngine:
                      len(tasks), self._workers, self._exchange, self._merge,
                      tuner.enabled,
                      "pack" if pack is not None else "rebuild")
+        exchange = ShardExchange(self._exchange, spill_dir=self._spill_dir)
         try:
-            exchange_spec = None if exchange is None else \
-                exchange.open().spec()
+            exchange_spec = exchange.open().spec()
             if self._merge == "spill":
                 # The builder owns its own directory under spill_dir —
                 # never the exchange session dir, which is removed
@@ -646,7 +580,7 @@ class ScanEngine:
             # one cleanup cannot skip the ones after it.
             try:
                 for payload, _, _ in buffer.drain():
-                    self._discard_payload(payload)
+                    release_shard(payload)
                 for future in pending:
                     if future.cancel():
                         continue
@@ -654,15 +588,14 @@ class ScanEngine:
                         result = future.result()
                     except Exception:
                         continue
-                    self._discard_payload(result[1])
+                    release_shard(result[1])
             finally:
                 try:
                     if merger is not None:
                         merger.abort()
                 finally:
                     try:
-                        if exchange is not None:
-                            exchange.close()
+                        exchange.close()
                     finally:
                         if pack is not None:
                             # The parent owns the pack's backing
@@ -680,48 +613,33 @@ class ScanEngine:
         return data
 
     def _freeze_world_pack(self):
-        """Freeze the scanner's world for the pool, per ``world_source``.
+        """Freeze the scanner's world for the pool.
 
         Returns the parent-owned pack (released in the execute
-        ``finally``) or None when freezing is off, unsupported by the
-        scanner, or failed under ``world_source="auto"`` — the workers
-        then fall back to the spec rebuild, which is bit-identical.
-        ``world_source="pack"`` propagates freeze failures instead of
-        degrading silently.
+        ``finally``) or None when the scanner cannot freeze or freezing
+        fails with ``OSError`` — the workers then fall back to the spec
+        rebuild, which is bit-identical.
         """
-        if self._world_source == "rebuild":
-            return None
         freeze = getattr(self._scanner, "freeze_world_pack", None)
         if freeze is None:
             return None
         try:
             return freeze(directory=self._spill_dir)
         except OSError:
-            if self._world_source == "pack":
-                raise
             logger.debug("world freeze failed; workers will rebuild",
                          exc_info=True)
             return None
 
     @staticmethod
-    def _merge_payload(sink, payload) -> None:
-        """Fold one chunk's result into the merge sink.
+    def _merge_payload(sink, payload: ShardHandle) -> None:
+        """Fold one chunk's shard into the merge sink, then release it.
 
         ``sink`` is the parent :class:`ScanDataset` (memory merge) or a
         :class:`SpillDatasetBuilder` (spill merge) — both consume
         bundles through the same ``extend_columns`` contract.
         """
-        if isinstance(payload, ShardHandle):
-            try:
-                with open_shard(payload) as reader:
-                    sink.extend_columns(reader.columns)
-            finally:
-                release_shard(payload)
-        else:
-            sink.extend_columns(payload.export_columns())
-
-    @staticmethod
-    def _discard_payload(payload) -> None:
-        """Release a chunk result without merging it (error paths)."""
-        if isinstance(payload, ShardHandle):
+        try:
+            with open_shard(payload) as reader:
+                sink.extend_columns(reader.columns)
+        finally:
             release_shard(payload)

@@ -384,11 +384,10 @@ class ScanDataset:
         self._n = offset + m
 
     # ------------------------------------------------------------------ #
-    # Pickling (process-executor transport)
+    # Pickling
 
     def __getstate__(self):
-        # Ship only the valid prefix of each growable buffer: worker
-        # processes return many small chunk datasets, and the empty
+        # Ship only the valid prefix of each growable buffer: the empty
         # over-allocated capacity would otherwise dominate the pickle.
         # Mapped datasets pickle as plain copies — the mapping itself
         # never crosses a process boundary.

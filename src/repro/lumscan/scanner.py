@@ -69,7 +69,7 @@ class ScannerSpec:
     and frozen configs, so shipping this spec (instead of the scanner's
     megabytes of lazily-built world state) and rebuilding once per worker
     process yields a replica whose probe outcomes are bit-identical — the
-    same per-task derived-RNG contract that makes thread sharding safe.
+    same per-task derived-RNG contract that makes sharding safe.
 
     ``world_source``, when set, points at a frozen worldpack (see
     :mod:`repro.websim.worldpack`): the worker maps it zero-copy instead
@@ -197,27 +197,26 @@ class Lumscan:
     def scan(self, urls: Sequence[str], countries: Sequence[str],
              samples: int = 3, epoch: int = 0,
              dataset: Optional[ScanDataset] = None,
-             workers: int = 1, executor: str = "thread") -> ScanDataset:
+             workers: int = 1) -> ScanDataset:
         """Probe every (country, domain) pair ``samples`` times.
 
         Results for a pair are appended contiguously, which downstream
         consumers (``ScanDataset.pairs``) rely on.  ``workers`` > 1 shards
-        the task space across a worker pool via :class:`ScanEngine`
-        (``executor`` picks threads or processes); the output is identical
-        to ``workers=1`` regardless of count or executor.
+        the task space across a process pool via :class:`ScanEngine`;
+        the output is identical to ``workers=1`` for any count.
         """
-        return ScanEngine(self, workers=workers, executor=executor).scan(
+        return ScanEngine(self, workers=workers).scan(
             urls, countries, samples=samples, epoch=epoch, dataset=dataset)
 
     def resample(self, pairs: Iterable, samples: int, epoch: int = 0,
                  dataset: Optional[ScanDataset] = None,
-                 workers: int = 1, executor: str = "thread") -> ScanDataset:
+                 workers: int = 1) -> ScanDataset:
         """Re-probe specific (domain, country) pairs ``samples`` times."""
-        return ScanEngine(self, workers=workers, executor=executor).resample(
+        return ScanEngine(self, workers=workers).resample(
             pairs, samples, epoch=epoch, dataset=dataset)
 
     # ------------------------------------------------------------------ #
-    # Process-executor support
+    # Process-pool support
 
     def spawn_spec(self,
                    world_source: Optional[WorldPackHandle] = None

@@ -1,13 +1,13 @@
 """Columnar shard exchange: zero-copy worker→parent result transport.
 
-The process executor's original return path pickled whole
-:class:`~repro.lumscan.records.ScanDataset` objects back to the parent —
-per-row serialization cost in the worker *and* the parent, paid on the
-merge path that every probe funnels through.  This module replaces it
-with flat binary **shard segments**: a worker serializes its trimmed
-int-coded columns (raw numpy buffers plus JSON code tables) into a
-`multiprocessing.shared_memory` block or an mmap-able spill file, and
-returns only a tiny picklable :class:`ShardHandle`.  The parent maps the
+Pickling whole :class:`~repro.lumscan.records.ScanDataset` objects back
+to the parent would pay per-row serialization cost in the worker *and*
+the parent, on the merge path that every probe funnels through.  The
+process pool instead exchanges flat binary **shard segments**: a worker
+serializes its trimmed int-coded columns (raw numpy buffers plus JSON
+code tables) into a `multiprocessing.shared_memory` block or an
+mmap-able spill file, and returns only a tiny picklable
+:class:`ShardHandle`.  The parent maps the
 segment, rebuilds :class:`~repro.lumscan.records.ShardColumns` views
 directly over the mapped bytes (``np.frombuffer`` — no row decode, no
 copy), bulk-extends its dataset, and releases the segment.

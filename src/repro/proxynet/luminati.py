@@ -277,7 +277,7 @@ class LuminatiClient:
 
         Process workers run their own client/world pair; their per-chunk
         deltas land here so ``request_count`` and ``world.fetch_count``
-        stay accurate regardless of executor.  A ``token`` marks the
+        stay accurate at any worker count.  A ``token`` marks the
         batch: absorbing a token that was already absorbed raises
         ``ValueError`` before any counter moves, so a retried or
         replayed chunk cannot double-count totals.

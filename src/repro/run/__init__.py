@@ -7,8 +7,8 @@ every phase.  This package turns each study into an explicit stage graph:
 * :class:`Stage` — one named phase with declared output artifacts;
 * :class:`RunContext` — the shared state a stage reads from and writes to;
 * :class:`ArtifactStore` — fingerprint-keyed, crash-safe checkpointing of
-  stage outputs (scan datasets as JSONL/gzip, derived artifacts as
-  versioned JSON);
+  stage outputs (scan datasets as mmap-able LSHD/LSHM segments, derived
+  artifacts as versioned JSON);
 * :class:`StudyRunner` — executes a stage list in order, skipping stages
   whose checkpoints are complete and loading their artifacts instead.
 
@@ -19,7 +19,7 @@ stages from disk produces **bit-identical** results to a fresh end-to-end
 run at the same seed.
 """
 
-from repro.run.artifacts import ArtifactStore, run_fingerprint
+from repro.run.artifacts import EXECUTION_ONLY, ArtifactStore, run_fingerprint
 from repro.run.codecs import decode_artifact, encode_artifact
 from repro.run.runner import StudyRunner
 from repro.run.stage import (
@@ -34,6 +34,7 @@ from repro.run.stage import (
 __all__ = [
     "ArtifactSpec",
     "ArtifactStore",
+    "EXECUTION_ONLY",
     "KIND_DATASET",
     "KIND_JSON",
     "RunContext",

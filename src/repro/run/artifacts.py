@@ -5,9 +5,7 @@ Layout under the checkpoint root::
     <root>/<study>/<stage>.manifest.json        stage completion record
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
     <root>/<study>/<stage>.<artifact>.lshd      scan datasets (columnar
-                                                segments, mmap-loaded;
-                                                ``dataset_format`` selects
-                                                the legacy JSONL flavors)
+                                                segments, mmap-loaded)
     <root>/<study>/<stage>.<artifact>.lshm      manifest-backed datasets:
                                                 a canonical-JSON list of
                                                 content-addressed segment
@@ -21,6 +19,9 @@ optional salt for non-config inputs (e.g. the fingerprint registry a
 Top-1M run inherits from Top-10K discovery).  A checkpoint is only reused
 when its fingerprint matches the requesting run exactly — change any
 methodology knob, world parameter, or seed and every stage re-executes.
+Config fields marked :data:`EXECUTION_ONLY` (worker count, exchange,
+merge sink, ...) are left out: they change how a stage runs, never
+what it outputs, so a run resumed at another ``--workers`` still hits.
 
 Crash safety is ordering + atomicity: artifact files are written first
 (each atomically, via temp + ``os.replace``), the manifest last.  A stage
@@ -35,12 +36,12 @@ import dataclasses
 import hashlib
 import json
 import os
+from types import MappingProxyType
 from typing import Dict, Optional, Sequence
 
 from repro.lumscan.records import DatasetReader, ScanDataset, \
     SegmentedScanDataset
 from repro.lumscan.serialize import (
-    dump_dataset,
     dump_dataset_lshd,
     dump_dataset_manifest,
     load_dataset,
@@ -55,7 +56,15 @@ FORMAT_VERSION = 1
 #: Dataset codecs a store can write (suffix doubles as the format name).
 #: Loading always sniffs magic bytes, so checkpoints in any format —
 #: including pre-columnar ``.jsonl.gz`` ones — stay loadable.
-DATASET_FORMATS = ("lshd", "lshm", "jsonl.gz", "jsonl")
+DATASET_FORMATS = ("lshd", "lshm")
+
+#: Suffixes of the JSONL checkpoints older stores wrote; still loadable,
+#: and still removed by :meth:`ArtifactStore.invalidate`.
+LEGACY_DATASET_SUFFIXES = ("jsonl.gz", "jsonl")
+
+#: Dataclass field ``metadata`` marking a config field that changes how
+#: a stage executes but never what it outputs; fingerprints skip it.
+EXECUTION_ONLY = MappingProxyType({"fingerprint": False})
 
 #: Resource-lifetime contract enforced by ``repro.lint``: the store
 #: manifest is only ever written through the atomic JSON writer below.
@@ -72,7 +81,8 @@ def _jsonable_config(config: object) -> object:
     """A canonical JSON-safe view of a (possibly nested) config object."""
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
         return {f.name: _jsonable_config(getattr(config, f.name))
-                for f in dataclasses.fields(config)}
+                for f in dataclasses.fields(config)
+                if f.metadata.get("fingerprint", True)}
     if isinstance(config, dict):
         return {str(k): _jsonable_config(v) for k, v in config.items()}
     if isinstance(config, (list, tuple)):
@@ -119,9 +129,9 @@ class ArtifactStore:
     columnar segments, ``"lshm"`` writes manifest-backed multi-segment
     datasets keyed by manifest fingerprint (a re-checkpoint of a logical
     dataset that grew by one rescan segment reuses the existing segment
-    files and costs O(new rows)), ``"jsonl.gz"`` / ``"jsonl"`` keep the
-    row-oriented JSONL export format.  Loads sniff the actual bytes, so
-    a store reads checkpoints written under any format.
+    files and costs O(new rows)).  Loads sniff the actual bytes, so a
+    store reads checkpoints written under either format, and legacy
+    JSONL ones too.
     """
 
     def __init__(self, root: str, study: str, study_config: object,
@@ -204,12 +214,10 @@ class ArtifactStore:
                         f"declared as dataset but is {type(value).__name__}")
                 if self._dataset_format == "lshd":
                     entry["records"] = dump_dataset_lshd(value, path)
-                elif self._dataset_format == "lshm":
+                else:
                     entry["records"] = dump_dataset_manifest(value, path)
                     entry["manifest_fingerprint"] = \
                         read_manifest(path).fingerprint
-                else:
-                    entry["records"] = dump_dataset(value, path)
             else:
                 _atomic_write_json(path, {
                     "version": FORMAT_VERSION,
@@ -273,8 +281,8 @@ class ArtifactStore:
             if not remove_artifacts:
                 continue
             for spec in stage.outputs:
-                suffixes = DATASET_FORMATS if spec.kind == KIND_DATASET \
-                    else ("json",)
+                suffixes = DATASET_FORMATS + LEGACY_DATASET_SUFFIXES \
+                    if spec.kind == KIND_DATASET else ("json",)
                 for suffix in suffixes:
                     path = os.path.join(
                         self._dir, f"{stage.name}.{spec.name}.{suffix}")

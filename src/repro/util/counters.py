@@ -2,14 +2,14 @@
 
 The simulated transport answers in microseconds, so a mutex around a
 ``count += 1`` is a real fraction of per-probe cost (and a serialization
-point for the thread-pool scan engine).  :class:`ShardedCounter` keeps one
+point for threaded callers).  :class:`ShardedCounter` keeps one
 cell per thread — increments touch only thread-local state — and sums the
 cells on read.  Reads are rare (stage stats, assertions), increments are
 per-fetch.
 
 Process workers cannot share cells, so they report per-chunk deltas back
 to the parent, which folds them in via :meth:`ShardedCounter.add` — the
-merged total therefore accounts for every fetch regardless of executor.
+merged total therefore accounts for every fetch at any worker count.
 """
 
 from __future__ import annotations

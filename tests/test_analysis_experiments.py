@@ -7,6 +7,8 @@ from repro.analysis.experiments import (
     ExperimentSuite,
     PAPER_REFERENCE,
 )
+from repro.core.pipeline import StudyConfig
+from repro.lumscan.engine import ScanEngine
 from repro.websim.world import World, WorldConfig
 
 
@@ -48,6 +50,33 @@ class TestSuiteRun:
         measured = report.findings["table9.baseline_enterprise"]
         assert measured == pytest.approx(
             PAPER_REFERENCE["table9.baseline_enterprise"], rel=0.3)
+
+
+class TestSuiteEngines:
+    def test_every_engine_receives_the_study_config(self, nano_world,
+                                                    monkeypatch):
+        # The staged study, observation-pool and timeout-study engines
+        # must all be built from the StudyConfig's engine fields.
+        received = []
+        real_init = ScanEngine.__init__
+
+        def recording_init(self, scanner, **kwargs):
+            received.append((kwargs.get("workers"), kwargs.get("exchange"),
+                             kwargs.get("merge"),
+                             kwargs.get("target_chunk_seconds")))
+            real_init(self, scanner, **kwargs)
+
+        monkeypatch.setattr(ScanEngine, "__init__", recording_init)
+        config = StudyConfig(seed=nano_world.config.seed, workers=2,
+                             executor="process", exchange="file",
+                             merge="spill",
+                             target_chunk_ms=40)
+        report = ExperimentSuite(nano_world, study_config=config).run(
+            include_top1m=False, include_vps=False, include_ooni=False,
+            pool_pairs=4, pool_samples=10, cf_rule_zones=2_000)
+        assert "figure1" in report.figures      # the pool engine ran
+        assert len(received) == 3
+        assert set(received) == {(2, "file", "spill", 0.04)}
 
 
 class TestReportRendering:

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -61,6 +68,29 @@ class TestParser:
     def test_store_compact_requires_manifest(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "compact"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--executor", "process"],
+    ["--world-source", "auto"],
+    ["--exchange", "pickle"],
+    ["--checkpoint-format", "jsonl.gz"],
+], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
+class TestRemovedFlags:
+    """Options whose modes are gone fail at parse time in both CLIs."""
+
+    def test_cli_rejects(self, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", *flags])
+
+    def test_run_experiments_rejects(self, flags):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+             "--scale", "tiny", *flags],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert flags[0] in proc.stderr
 
 
 class TestCommands:

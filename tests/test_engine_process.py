@@ -1,12 +1,12 @@
 """Process-parallel scan sharding: byte-identity and plumbing tests.
 
-``ScanEngine(executor="process")`` ships task chunks to worker processes
-that each rebuild the scanner from a picklable :class:`ScannerSpec`.  The
-contract is the same as the thread pool's: the merged dataset is
-identical — same records, same order — to a serial scan, and the parent
-scanner's request/fetch counters account for all worker traffic.  The
-shard exchange adds two more: the merged bytes stay identical under any
-chunk completion order, and no shard segment outlives the scan — not
+``ScanEngine(workers>1)`` ships task chunks to worker processes that
+each rebuild the scanner from a picklable :class:`ScannerSpec`.  The
+merged dataset is identical — same records, same order — to a serial
+scan (pinned record by record in ``test_lumscan_engine.py``), and the
+parent scanner's request/fetch counters account for all worker traffic.
+The shard exchange adds two more: the merged bytes stay identical under
+any chunk completion order, and no shard segment outlives the scan — not
 even when a worker blows up mid-run.
 """
 
@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.lumscan.engine as engine_mod
-from repro.lumscan.engine import EXECUTORS, EXCHANGES, ScanEngine, scan_tasks
+from repro.lumscan.engine import ScanEngine, scan_tasks
 from repro.lumscan.records import ScanDataset
 from repro.lumscan.scanner import Lumscan, ScannerSpec
 from repro.lumscan.serialize import dump_dataset
@@ -47,16 +47,21 @@ class _InlineOnlyScanner:
 
 
 class TestExecutorValidation:
-    def test_executors_tuple(self):
-        assert EXECUTORS == ("thread", "process")
-
     def test_unknown_executor_rejected(self, nano_luminati):
         with pytest.raises(ValueError):
             ScanEngine(Lumscan(nano_luminati, seed=3), executor="fork")
 
+    def test_thread_executor_only_at_one_worker(self, nano_luminati):
+        # "thread" is accepted only where it never built a pool.
+        ScanEngine(Lumscan(nano_luminati, seed=3), executor="thread")
+        ScanEngine(Lumscan(nano_luminati, seed=3), workers=2,
+                   executor="process")
+        with pytest.raises(ValueError, match="executor"):
+            ScanEngine(Lumscan(nano_luminati, seed=3), workers=2,
+                       executor="thread")
+
     def test_non_spawnable_scanner_rejected(self):
-        engine = ScanEngine(_InlineOnlyScanner(), workers=2, chunk_size=2,
-                            executor="process")
+        engine = ScanEngine(_InlineOnlyScanner(), workers=2, chunk_size=2)
         with pytest.raises(TypeError, match="spawn_spec"):
             engine.scan([f"http://d{i}.example.com/" for i in range(8)],
                         ["US"], samples=1)
@@ -96,7 +101,7 @@ class TestProcessSerialDeterminism:
         urls, countries, expected, _ = serial
         client = LuminatiClient(nano_world)
         engine = ScanEngine(Lumscan(client, seed=11), workers=workers,
-                            chunk_size=16, executor="process")
+                            chunk_size=16)
         data = engine.scan(urls, countries, samples=3)
         assert _rows(data) == _rows(expected)
 
@@ -105,7 +110,7 @@ class TestProcessSerialDeterminism:
         client = LuminatiClient(nano_world)
         fetches_before = nano_world.fetch_count
         engine = ScanEngine(Lumscan(client, seed=11), workers=2,
-                            chunk_size=16, executor="process")
+                            chunk_size=16)
         engine.scan(urls, countries, samples=3)
         assert client.request_count == serial_requests
         assert nano_world.fetch_count - fetches_before == serial_fetches
@@ -117,22 +122,9 @@ class TestProcessSerialDeterminism:
         client = LuminatiClient(nano_world)
         expected = Lumscan(client, seed=11).resample(pairs, samples=4, epoch=2)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=3, chunk_size=5, executor="process")
+                            workers=3, chunk_size=5)
         data = engine.resample(pairs, samples=4, epoch=2)
         assert _rows(data) == _rows(expected)
-
-    def test_process_matches_thread_pool(self, nano_world, serial):
-        urls, countries, expected, _ = serial
-        threaded = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                              workers=4, chunk_size=9,
-                              executor="thread").scan(
-            urls, countries, samples=3)
-        processed = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                               workers=4, chunk_size=9,
-                               executor="process").scan(
-            urls, countries, samples=3)
-        assert _rows(threaded) == _rows(expected)
-        assert _rows(processed) == _rows(expected)
 
 
 class TestDatasetPickle:
@@ -198,19 +190,18 @@ def _exploding_run_chunk(seq, chunk):
 
 
 def _exchanges():
-    modes = ["file", "pickle"]
+    modes = ["file"]
     if shm_available():
         modes.insert(0, "shm")
     return modes
 
 
 class TestShardExchange:
-    def test_exchanges_tuple(self):
-        assert EXCHANGES == ("auto", "shm", "file", "pickle")
-
     def test_unknown_exchange_rejected(self, nano_luminati):
-        with pytest.raises(ValueError):
-            ScanEngine(Lumscan(nano_luminati, seed=3), exchange="carrier")
+        for mode in ("carrier", "pickle"):
+            with pytest.raises(ValueError, match="exchange"):
+                ScanEngine(Lumscan(nano_luminati, seed=3), workers=2,
+                           exchange=mode)
 
     @pytest.fixture(scope="class")
     def serial(self, nano_world):
@@ -225,7 +216,7 @@ class TestShardExchange:
             self, nano_world, serial, tmp_path, exchange):
         urls, countries, expected = serial
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=16, executor="process",
+                            workers=2, chunk_size=16,
                             exchange=exchange, spill_dir=str(tmp_path))
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, exchange) == \
@@ -239,7 +230,7 @@ class TestShardExchange:
         monkeypatch.setattr(engine_mod, "_process_run_chunk",
                             _inverted_run_chunk)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=3, chunk_size=24, executor="process",
+                            workers=3, chunk_size=24,
                             spill_dir=str(tmp_path),
                             target_chunk_seconds=None)
         data = engine.scan(urls, countries, samples=3)
@@ -256,7 +247,7 @@ class TestShardExchange:
                             _exploding_run_chunk)
         spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
+                            workers=2, chunk_size=8,
                             exchange="file", spill_dir=str(spill),
                             target_chunk_seconds=None)
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
@@ -275,7 +266,7 @@ class TestShardExchange:
         monkeypatch.setattr(engine_mod, "_process_run_chunk",
                             _exploding_run_chunk)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
+                            workers=2, chunk_size=8,
                             exchange="shm", target_chunk_seconds=None)
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
@@ -287,7 +278,7 @@ class TestShardExchange:
         # to run — and must never leak into the output bytes.
         urls, countries, expected = serial
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
+                            workers=2, chunk_size=8,
                             target_chunk_seconds=0.05)
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, "tuned") == \
@@ -310,7 +301,7 @@ class TestSpillMerge:
         # a serial scan.
         urls, countries, expected = serial
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=16, executor="process",
+                            workers=2, chunk_size=16,
                             merge="spill", spill_dir=str(tmp_path))
         data = engine.scan(urls, countries, samples=3)
         try:
@@ -326,7 +317,7 @@ class TestSpillMerge:
         urls, countries, _ = serial
         spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=16, executor="process",
+                            workers=2, chunk_size=16,
                             merge="spill", spill_dir=str(spill))
         data = engine.scan(urls, countries, samples=3)
         try:
@@ -347,7 +338,7 @@ class TestSpillMerge:
                             _exploding_run_chunk)
         spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
+                            workers=2, chunk_size=8,
                             exchange="file", merge="spill",
                             spill_dir=str(spill),
                             target_chunk_seconds=None)
@@ -358,14 +349,19 @@ class TestSpillMerge:
                      for name in list(dirs) + list(files)]
         assert leftovers == []
 
-    def test_spill_requires_process_executor(self, nano_luminati):
-        with pytest.raises(ValueError, match="merge='spill'"):
-            ScanEngine(Lumscan(nano_luminati, seed=3), merge="spill")
+    def test_spill_requires_process_executor(self, nano_world, serial):
+        # The spill builder backs only the process pool's streaming
+        # merge; a workers=1 run takes the inline path and stays in RAM.
+        urls, countries, expected = serial
+        engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
+                            merge="spill")
+        data = engine.scan(urls, countries, samples=3)
+        assert not data.is_mapped
+        assert _rows(data) == _rows(expected)
 
     def test_unknown_merge_rejected(self, nano_luminati):
         with pytest.raises(ValueError, match="merge must be"):
-            ScanEngine(Lumscan(nano_luminati, seed=3), executor="process",
-                       merge="tape")
+            ScanEngine(Lumscan(nano_luminati, seed=3), merge="tape")
 
 
 class TestAbsorptionTokens:
@@ -396,7 +392,7 @@ class TestAbsorptionTokens:
         # token counter must keep them distinct.
         urls = _clean_urls(nano_world, 6)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=4, executor="process")
+                            workers=2, chunk_size=4)
         engine.scan(urls, ["US"], samples=1)
         engine.scan(urls, ["IR"], samples=1)
 
@@ -425,7 +421,7 @@ class TestWorldpackInitCleanup:
         monkeypatch.setattr(engine_mod, "_process_worker_init",
                             _exploding_worker_init)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
+                            workers=2, chunk_size=8,
                             exchange="shm", target_chunk_seconds=None)
         with pytest.raises(Exception) as excinfo:
             engine.scan(urls, ["US", "IR"], samples=2)
@@ -439,7 +435,7 @@ class TestWorldpackInitCleanup:
         urls = _clean_urls(nano_world, 10)
         before = set(os.listdir("/dev/shm"))
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
+                            workers=2, chunk_size=8,
                             exchange="shm", target_chunk_seconds=None)
         engine.scan(urls, ["US", "IR"], samples=2)
         assert set(os.listdir("/dev/shm")) - before == set()

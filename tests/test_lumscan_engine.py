@@ -1,7 +1,8 @@
 """Parallel scan engine: determinism, sharding, and merge-order tests.
 
 The engine's correctness contract is byte-identical output to the serial
-scan for any worker count — verified here record-by-record.
+scan for any worker count — verified here record-by-record.  Every
+``workers > 1`` case runs the process pool.
 """
 
 import pytest
@@ -60,7 +61,7 @@ class TestTaskEnumeration:
 
 
 class TestParallelSerialDeterminism:
-    """Same seed, workers in {1, 2, 8} -> identical ScanDataset."""
+    """Same seed, workers in {1, 2, 3, 8} -> identical ScanDataset."""
 
     @pytest.fixture(scope="class")
     def scan_inputs(self, nano_world):
@@ -73,7 +74,7 @@ class TestParallelSerialDeterminism:
         scanner = Lumscan(LuminatiClient(nano_world), seed=11)
         return scanner.scan(urls, countries, samples=3)
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_engine_matches_serial_scan(self, nano_world, scan_inputs,
                                         serial_scan, workers):
         urls, countries = scan_inputs
@@ -83,7 +84,7 @@ class TestParallelSerialDeterminism:
         assert len(parallel) == len(serial_scan)
         assert _rows(parallel) == _rows(serial_scan)
 
-    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_resample_matches_serial(self, nano_world, workers):
         urls = _clean_urls(nano_world, 6)
         pairs = [(u.split("//")[1].rstrip("/"), c)

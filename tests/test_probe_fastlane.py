@@ -238,7 +238,7 @@ class TestDatasetEquivalence:
         assert [(c.domain, c.country, c.page_type) for c in full_confirmed] \
             == [(c.domain, c.country, c.page_type) for c in fast_confirmed]
 
-    def test_fast_lane_composes_with_thread_pool(self, nano_world, scans):
+    def test_fast_lane_composes_with_process_pool(self, nano_world, scans):
         full, _ = scans
         urls = _study_urls(nano_world)
         countries = LuminatiClient(nano_world).countries()

@@ -232,3 +232,18 @@ class TestCheckpointInvalidation:
         result = run_top10k_study(world2, config=changed,
                                   checkpoint_dir=root, resume=True)
         assert not any(s.cache_hit for s in result.stage_stats)
+
+    def test_engine_change_keeps_every_checkpoint(self, tmp_path):
+        """Engine knobs never change output, so they never invalidate."""
+        root = str(tmp_path)
+        world = World(WorldConfig.nano())
+        fresh = run_top10k_study(world, config=StudyConfig(),
+                                 checkpoint_dir=root)
+
+        wider = StudyConfig(workers=2, exchange="file", merge="spill",
+                            target_chunk_ms=0)
+        world2 = World(WorldConfig.nano())
+        result = run_top10k_study(world2, config=wider,
+                                  checkpoint_dir=root, resume=True)
+        assert all(s.cache_hit for s in result.stage_stats)
+        assert result.confirmed == fresh.confirmed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from repro.core.identify import CDNPopulation
 from repro.core.lengths import Outlier
 from repro.core.resample import ConfirmedBlock
 from repro.lumscan.records import Sample, ScanDataset
+from repro.lumscan.serialize import dump_dataset
 from repro.run import (
     KIND_DATASET,
     ArtifactSpec,
@@ -132,6 +134,23 @@ class TestFingerprint:
         assert run_fingerprint({"seed": 1}, {"n": 10},
                                "top10k", "scan", salt="x") != base
 
+    def test_execution_only_fields_left_out(self):
+        # Output is byte-identical across the scan-engine knobs, so a run
+        # resumed at another width must hit the same checkpoints.
+        from repro.core.pipeline import StudyConfig
+
+        def key(config):
+            return run_fingerprint(config, {"n": 10}, "top10k", "scan")
+
+        base = key(StudyConfig(seed=1))
+        assert key(StudyConfig(seed=1, workers=2, executor="process",
+                               exchange="file", merge="spill",
+                               target_chunk_ms=0,
+                               world_source="auto")) == base
+        assert key(StudyConfig(seed=1, executor="thread")) == base
+        assert key(StudyConfig(seed=2)) != base
+        assert key(StudyConfig(seed=1, samples_confirm=19)) != base
+
 
 def _dataset() -> ScanDataset:
     data = ScanDataset()
@@ -207,30 +226,47 @@ class TestArtifactStore:
         assert [loaded.row(i) for i in range(3)] \
             == [_dataset().row(i) for i in range(3)]
 
-    def test_jsonl_format_mode(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1},
-                              dataset_format="jsonl")
-        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
-        assert (tmp_path / "study" / "scan.initial.jsonl").exists()
-        assert store.load_stage(_STAGE)["initial"].row(1) \
-            == _dataset().row(1)
-
     def test_cross_format_resume(self, tmp_path):
         # A store in one format reads checkpoints written under another:
         # the manifest records the actual filename and loads sniff bytes.
         old = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 10},
-                            dataset_format="jsonl.gz")
+                            dataset_format="lshm")
         old.save_stage(_STAGE, {"initial": _dataset(), "notes": ["n1"]})
+        assert (tmp_path / "study" / "scan.initial.lshm").exists()
         new = _store(tmp_path)
         assert new.manifest(_STAGE) is not None
         loaded = new.load_stage(_STAGE)["initial"]
+        try:
+            assert [loaded.row(i) for i in range(3)] \
+                == [_dataset().row(i) for i in range(3)]
+        finally:
+            loaded.close()
+
+    def test_legacy_jsonl_checkpoint_loads(self, tmp_path):
+        # Stores no longer write JSONL, but a checkpoint an older store
+        # wrote that way still resumes (loads sniff the bytes) and is
+        # still removed by invalidate().
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        study = tmp_path / "study"
+        (study / "scan.initial.lshd").unlink()
+        dump_dataset(_dataset(), str(study / "scan.initial.jsonl.gz"))
+        manifest_path = study / "scan.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"][0]["file"] = "scan.initial.jsonl.gz"
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = store.load_stage(_STAGE)["initial"]
         assert not loaded.is_mapped
         assert loaded.row(2) == _dataset().row(2)
+        store.invalidate([_STAGE], remove_artifacts=True)
+        assert not (study / "scan.initial.jsonl.gz").exists()
 
     def test_bad_dataset_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactStore(str(tmp_path), "study", {}, {},
-                          dataset_format="csv")
+        # Stores write only lshd/lshm; JSONL checkpoints still load.
+        for fmt in ("csv", "jsonl", "jsonl.gz"):
+            with pytest.raises(ValueError):
+                ArtifactStore(str(tmp_path), "study", {}, {},
+                              dataset_format=fmt)
 
     def test_dataset_type_enforced(self, tmp_path):
         with pytest.raises(TypeError):

@@ -169,15 +169,19 @@ class TestEngineByteIdentity:
         urls = _clean_urls(built_world, 12)
         countries = ["US", "IR", "CN"]
 
-        def scan(world_source):
-            engine = ScanEngine(
-                Lumscan(LuminatiClient(built_world), seed=11),
-                workers=workers, chunk_size=8, executor="process",
-                world_source=world_source)
+        def scan(freeze_fails):
+            scanner = Lumscan(LuminatiClient(built_world), seed=11)
+            if freeze_fails:
+                # Force the engine's OSError fallback: every worker then
+                # rebuilds the world from the spec.
+                def unfreezable(directory=None):
+                    raise OSError("no shareable storage")
+                scanner.freeze_world_pack = unfreezable
+            engine = ScanEngine(scanner, workers=workers, chunk_size=8)
             return engine, engine.scan(urls, countries, samples=2)
 
-        packed_engine, packed = scan("pack")
-        rebuilt_engine, rebuilt = scan("rebuild")
+        packed_engine, packed = scan(freeze_fails=False)
+        rebuilt_engine, rebuilt = scan(freeze_fails=True)
         assert _encoded(packed, tmp_path, f"pack{workers}") == \
             _encoded(rebuilt, tmp_path, f"rebuild{workers}")
         assert packed_engine.worker_init_stats().pack_loads == \
@@ -186,8 +190,7 @@ class TestEngineByteIdentity:
 
     def test_init_stats_accumulate(self, built_world):
         engine = ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
-                            workers=2, chunk_size=8, executor="process",
-                            world_source="auto")
+                            workers=2, chunk_size=8)
         engine.scan(_clean_urls(built_world, 8), ["US"], samples=1)
         stats = engine.worker_init_stats()
         assert stats.spawned >= 1
@@ -196,9 +199,16 @@ class TestEngineByteIdentity:
         assert stats.rss_peak_bytes >= 0
 
     def test_unknown_world_source_rejected(self, built_world):
-        with pytest.raises(ValueError, match="world_source"):
+        # The engine always maps a pack when it can; the study config
+        # keeps only the "auto" spelling and rejects the removed modes.
+        from repro.core.pipeline import StudyConfig
+
+        for mode in ("cache", "pack", "rebuild"):
+            with pytest.raises(ValueError, match="world_source"):
+                StudyConfig(world_source=mode)
+        with pytest.raises(TypeError):
             ScanEngine(Lumscan(LuminatiClient(built_world), seed=11),
-                       executor="process", world_source="cache")
+                       world_source="auto")
 
 
 class TestFallbackAndRelease:
@@ -280,8 +290,7 @@ class TestStageStats:
         from repro.core.pipeline import StudyConfig, run_top10k_study
 
         world = World(WorldConfig.nano())
-        result = run_top10k_study(world, config=StudyConfig(
-            workers=2, executor="process", world_source="auto"))
+        result = run_top10k_study(world, config=StudyConfig(workers=2))
         spawned = sum(s.workers_spawned for s in result.stage_stats)
         assert spawned > 0
         scan_stages = [s for s in result.stage_stats if s.workers_spawned]
