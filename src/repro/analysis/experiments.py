@@ -134,18 +134,24 @@ class ExperimentReport:
 
 
 class ExperimentSuite:
-    """Runs the complete reproduction over one world."""
+    """Runs the complete reproduction over one world.
+
+    Checkpoints are always LSHD segments; ``checkpoint_format`` is kept
+    for older callers and accepts only ``"lshd"``.
+    """
 
     def __init__(self, world: World,
                  study_config: Optional[StudyConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False,
                  checkpoint_format: str = "lshd") -> None:
+        if checkpoint_format != "lshd":
+            raise ValueError(f"checkpoint_format must be 'lshd', "
+                             f"got {checkpoint_format!r}")
         self.world = world
         self.config = study_config or StudyConfig(seed=world.config.seed)
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        self.checkpoint_format = checkpoint_format
         self.luminati = LuminatiClient(world)
         self.fortiguard = FortiGuardClient(world.population, world.taxonomy,
                                            seed=world.config.seed)
@@ -166,8 +172,7 @@ class ExperimentSuite:
         logger.info("suite: starting Top-10K study")
         self.top10k = run_top10k_study(world, self.luminati, self.config,
                                        checkpoint_dir=self.checkpoint_dir,
-                                       resume=self.resume,
-                                       checkpoint_format=self.checkpoint_format)
+                                       resume=self.resume)
         result = self.top10k
         report.stage_stats["top10k"] = [s.as_dict()
                                         for s in result.stage_stats]
@@ -215,8 +220,7 @@ class ExperimentSuite:
             self.top1m = run_top1m_study(world, self.luminati, self.config,
                                          registry=result.registry,
                                          checkpoint_dir=self.checkpoint_dir,
-                                         resume=self.resume,
-                                         checkpoint_format=self.checkpoint_format)
+                                         resume=self.resume)
             report.stage_stats["top1m"] = [s.as_dict()
                                            for s in self.top1m.stage_stats]
             report.tables["table7"] = tabs.table7(self.top1m)

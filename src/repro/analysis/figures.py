@@ -22,7 +22,7 @@ from repro.core.resample import (
     false_negative_curve,
 )
 from repro.datasets.cloudflare_rules import CloudflareRuleDataset, SANCTIONS_BUNDLE
-from repro.lumscan.records import DatasetReader
+from repro.lumscan.records import ScanDataset
 
 
 @dataclass
@@ -72,7 +72,7 @@ def figure1_stat(figure: FigureData, size: int = 20,
     return below / len(points)
 
 
-def figure2(dataset: DatasetReader,
+def figure2(dataset: ScanDataset,
             reference_countries: Optional[Sequence[str]] = None,
             registry: Optional[FingerprintRegistry] = None) -> FigureData:
     """Figure 2: CDF of relative length difference, blocked vs all pages."""

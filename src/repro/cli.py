@@ -28,6 +28,18 @@ _SCALES = {
 }
 
 
+def int_at_least(minimum: int):
+    """An argparse ``type`` that accepts integers ``>= minimum`` only."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _world(scale: str, seed: int) -> World:
     try:
         factory = _SCALES[scale]
@@ -38,13 +50,12 @@ def _world(scale: str, seed: int) -> World:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     world = _world(args.scale, args.seed)
-    config = StudyConfig(seed=args.seed, workers=max(1, args.workers),
+    config = StudyConfig(seed=args.seed, workers=args.workers,
                          exchange=args.exchange, merge=args.merge,
-                         target_chunk_ms=max(0, args.target_chunk_ms))
+                         target_chunk_ms=args.target_chunk_ms)
     suite = ExperimentSuite(world, study_config=config,
                             checkpoint_dir=args.checkpoint_dir,
-                            resume=args.resume,
-                            checkpoint_format=args.checkpoint_format)
+                            resume=args.resume)
     stopwatch = args.clock.stopwatch()
     report = suite.run(include_top1m=not args.no_top1m,
                        include_vps=not args.no_vps,
@@ -70,7 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_top10k(args: argparse.Namespace) -> int:
     world = _world(args.scale, args.seed)
-    result = run_top10k_study(world)
+    result = run_top10k_study(world, config=StudyConfig(seed=args.seed))
     print(f"safe domains: {len(result.safe_domains)}")
     print(f"confirmed instances: {len(result.confirmed)}")
     print(f"unique geoblocking domains: {len(result.confirmed_domains)}")
@@ -198,71 +209,22 @@ def _print_segment_header(path: str, header: dict) -> None:
 
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     from repro.lumscan.serialize import sniff_format
-    from repro.lumscan.shards import read_manifest, read_segment_header
+    from repro.lumscan.shards import read_segment_header
 
     path = args.path
     try:
         fmt = sniff_format(path)
     except OSError as exc:
         raise SystemExit(f"{path}: {exc}")
-    if fmt == "lshd":
-        try:
-            header = read_segment_header(path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{path}: {exc}")
-        _print_segment_header(path, header)
-        return 0
-    if fmt == "lshm":
-        try:
-            manifest = read_manifest(path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{path}: {exc}")
-        print(f"manifest:    {path}")
-        print(f"rows:        {manifest.rows}")
-        print(f"segments:    {len(manifest.entries)}")
-        print(f"fingerprint: {manifest.fingerprint}")
-        for index, entry in enumerate(manifest.entries):
-            print(f"  [{index}] {entry.file}  rows={entry.rows}  "
-                  f"fingerprint={entry.fingerprint}")
-        return 0
-    raise SystemExit(f"{path}: not an LSHD segment or LSHM manifest "
-                     f"(looks like {fmt}; legacy JSONL checkpoints are "
-                     f"loadable but carry no columnar header)")
-
-
-def _cmd_store_append(args: argparse.Namespace) -> int:
-    from repro.lumscan.serialize import load_dataset
-    from repro.lumscan.shards import append_segment
-
+    if fmt != "lshd":
+        raise SystemExit(f"{path}: not an LSHD segment (looks like {fmt}; "
+                         f"legacy JSONL checkpoints are loadable but carry "
+                         f"no columnar header)")
     try:
-        dataset = load_dataset(args.dataset)
+        header = read_segment_header(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"{args.dataset}: {exc}")
-    try:
-        manifest = append_segment(args.manifest, dataset.export_columns())
-    finally:
-        dataset.close()
-    entry = manifest.entries[-1]
-    print(f"appended {entry.rows} rows as {entry.file}")
-    print(f"manifest:    {args.manifest}")
-    print(f"rows:        {manifest.rows}")
-    print(f"segments:    {len(manifest.entries)}")
-    print(f"fingerprint: {manifest.fingerprint}")
-    return 0
-
-
-def _cmd_store_compact(args: argparse.Namespace) -> int:
-    from repro.lumscan.shards import compact_manifest, read_manifest
-
-    try:
-        before = read_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{args.manifest}: {exc}")
-    manifest = compact_manifest(args.manifest)
-    entry = manifest.entries[0]
-    print(f"compacted {len(before.entries)} segments -> {entry.file}")
-    print(f"rows:        {manifest.rows}")
-    print(f"fingerprint: {manifest.fingerprint}")
+        raise SystemExit(f"{path}: {exc}")
+    _print_segment_header(path, header)
     return 0
 
 
@@ -349,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", action="store_true",
                      help="skip stages with complete checkpoints "
                           "(requires --checkpoint-dir)")
-    run.add_argument("--workers", type=int, default=1,
+    run.add_argument("--workers", type=int_at_least(1), default=1,
                      help="scan-engine width: 1 probes inline, N > 1 runs "
                           "a pool of N processes; output is identical for "
                           "any count (default: 1)")
@@ -363,16 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="process-merge sink: accumulate worker shards in "
                           "RAM, or stream them to an on-disk LSHD segment "
                           "and mmap the result (default: memory)")
-    run.add_argument("--target-chunk-ms", type=int, default=250,
+    run.add_argument("--target-chunk-ms", type=int_at_least(0), default=250,
                      help="autotune process chunks toward this wall-time "
                           "per chunk; 0 keeps a fixed chunk size "
                           "(default: 250)")
-    run.add_argument("--checkpoint-format", default="lshd",
-                     choices=("lshd", "lshm"),
-                     help="dataset codec for checkpoints; 'lshm' writes "
-                          "manifest-backed multi-segment datasets; loads "
-                          "sniff magic bytes so resume works across formats "
-                          "and reads legacy JSONL checkpoints (default: lshd)")
     run.set_defaults(func=_cmd_run)
 
     top10k = sub.add_parser("top10k", help="run only the Top-10K study")
@@ -407,28 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
                            default=[7, 8, 9])
     stability.set_defaults(func=_cmd_stability)
 
-    store = sub.add_parser(
-        "store", help="inspect and maintain on-disk dataset artifacts")
+    store = sub.add_parser("store", help="inspect on-disk dataset artifacts")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     inspect = store_sub.add_parser(
-        "inspect", help="print an LSHD segment's header or an LSHM "
-                        "manifest's segment list without mapping column "
-                        "buffers")
-    inspect.add_argument("path", help="path to an .lshd segment or .lshm "
-                                      "manifest file")
+        "inspect", help="print an LSHD segment's header without mapping "
+                        "column buffers")
+    inspect.add_argument("path", help="path to an .lshd segment file")
     inspect.set_defaults(func=_cmd_store_inspect)
-    append = store_sub.add_parser(
-        "append", help="append a dataset file to an .lshm manifest as one "
-                       "new segment (creates the manifest if missing)")
-    append.add_argument("manifest", help="path to the .lshm manifest")
-    append.add_argument("dataset", help="dataset file to append (any "
-                                        "supported format)")
-    append.set_defaults(func=_cmd_store_append)
-    compact = store_sub.add_parser(
-        "compact", help="merge an .lshm manifest's segments into one, "
-                        "byte-identical to a sequential rewrite")
-    compact.add_argument("manifest", help="path to the .lshm manifest")
-    compact.set_defaults(func=_cmd_store_compact)
 
     world = sub.add_parser(
         "world", help="freeze and inspect immutable world snapshots")
@@ -468,6 +409,8 @@ def main(argv: Optional[list] = None, clock: Optional[Clock] = None) -> int:
         return lint_main(raw[1:])
     parser = build_parser()
     args = parser.parse_args(raw)
+    if args.command == "run" and args.resume and not args.checkpoint_dir:
+        parser.error("--resume requires --checkpoint-dir")
     args.clock = clock if clock is not None else SystemClock()
     return args.func(args)
 

@@ -10,17 +10,13 @@ The paper notes that *percentage* differences work where raw byte
 differences do not (raw cutoffs excessively penalize long pages); both are
 implemented so the ablation benchmark can reproduce that comparison.
 
-Both kernels are vectorized over the dataset's code columns and execute
-as **folds over column chunks** (:meth:`DatasetReader.iter_column_chunks`):
-a flat :class:`~repro.lumscan.records.ScanDataset` is one chunk, a
-manifest-backed :class:`~repro.lumscan.records.SegmentedScanDataset`
-yields one chunk per segment with globally-remapped codes — the
-per-domain maximum is a ``np.maximum.at`` scatter folded across chunks
-(max is order-insensitive, so the fold is bit-identical to the flat
-scatter), and outlier flagging is a per-chunk boolean-mask expression
-that yields ascending global row indices — :class:`Sample` objects are
-materialized only for the flagged rows.  Scalar reference
-implementations live in :mod:`repro.core.reference`.
+Both kernels are vectorized over the dataset's code columns
+(:meth:`~repro.lumscan.records.ScanDataset.domain_code_array` and
+friends): the per-domain maximum is one ``np.maximum.at`` scatter, and
+outlier flagging is a boolean-mask expression that yields ascending row
+indices — :class:`Sample` objects are materialized only for the flagged
+rows.  Scalar reference implementations live in
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -30,14 +26,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lumscan.records import DatasetReader, NO_RESPONSE, Sample
+from repro.lumscan.records import NO_RESPONSE, Sample, ScanDataset
 
 DEFAULT_CUTOFF = 0.30
 
 
-def _country_allowed(dataset: DatasetReader,
+def _country_allowed(dataset: ScanDataset,
                      countries: Sequence[str]) -> np.ndarray:
-    """Boolean allow-table over the dataset's global country codes."""
+    """Boolean allow-table over the dataset's country codes."""
     allowed = np.zeros(len(dataset.countries()), dtype=bool)
     for country in countries:
         code = dataset.country_code(country)
@@ -46,7 +42,7 @@ def _country_allowed(dataset: DatasetReader,
     return allowed
 
 
-def representative_lengths(dataset: DatasetReader,
+def representative_lengths(dataset: ScanDataset,
                            reference_countries: Optional[Sequence[str]] = None
                            ) -> Dict[str, int]:
     """Longest observed response length per domain.
@@ -61,20 +57,12 @@ def representative_lengths(dataset: DatasetReader,
         return {}
     names = dataset.domains()
     reps = np.full(len(names), -1, dtype=np.int64)
-    allowed = None if reference_countries is None else \
-        _country_allowed(dataset, reference_countries)
-    hit_any = False
-    for chunk in dataset.iter_column_chunks():
-        mask = chunk.statuses != NO_RESPONSE
-        if allowed is not None:
-            mask &= allowed[chunk.ccodes]
-        codes = chunk.dcodes[mask]
-        if codes.size == 0:
-            continue
-        hit_any = True
-        np.maximum.at(reps, codes, chunk.lengths[mask])
-    if not hit_any:
-        return {}
+    mask = dataset.ok_array()
+    if reference_countries is not None:
+        mask &= _country_allowed(dataset, reference_countries)[
+            dataset.country_code_array()]
+    np.maximum.at(reps, dataset.domain_code_array()[mask],
+                  dataset.length_array()[mask])
     return {names[code]: int(reps[code])
             for code in np.flatnonzero(reps >= 0).tolist()}
 
@@ -89,9 +77,9 @@ class Outlier:
     relative_difference: float   # (rep - len) / rep, in [0, 1]
 
 
-def _representative_table(dataset: DatasetReader,
+def _representative_table(dataset: ScanDataset,
                           representatives: Mapping[str, int]) -> np.ndarray:
-    """Representative length per global domain code (0 where unknown)."""
+    """Representative length per domain code (0 where unknown)."""
     reps = np.zeros(len(dataset.domains()), dtype=np.int64)
     for domain, rep in representatives.items():
         code = dataset.domain_code(domain)
@@ -100,7 +88,7 @@ def _representative_table(dataset: DatasetReader,
     return reps
 
 
-def extract_outliers(dataset: DatasetReader,
+def extract_outliers(dataset: ScanDataset,
                      representatives: Mapping[str, int],
                      cutoff: float = DEFAULT_CUTOFF,
                      raw_cutoff: Optional[int] = None,
@@ -113,39 +101,32 @@ def extract_outliers(dataset: DatasetReader,
     (the ablation mode the paper found ineffective).  ``countries``
     optionally restricts extraction to samples from those countries (the
     pipeline's reference-country filter, applied inside the mask).
-    Chunks are flagged in offset order, so the output is ascending by
-    global row index regardless of physical segmentation.
+    The output is ascending by row index.
     """
     if not 0.0 < cutoff < 1.0:
         raise ValueError("cutoff must be in (0, 1)")
     if len(dataset) == 0:
         return []
-    rep_table = _representative_table(dataset, representatives)
-    allowed = None if countries is None else \
-        _country_allowed(dataset, countries)
-    outliers: List[Outlier] = []
-    for chunk in dataset.iter_column_chunks():
-        rep_rows = rep_table[chunk.dcodes]
-        valid = (chunk.statuses != NO_RESPONSE) & (rep_rows > 0)
-        if allowed is not None:
-            valid &= allowed[chunk.ccodes]
-        difference = rep_rows - chunk.lengths
-        relative = np.zeros(chunk.n, dtype=np.float64)
-        np.divide(difference, rep_rows, out=relative, where=rep_rows > 0)
-        if raw_cutoff is not None:
-            flagged = valid & (difference > raw_cutoff)
-        else:
-            flagged = valid & (relative > cutoff)
-        outliers.extend(
-            Outlier(index=chunk.offset + local,
-                    sample=dataset.row(chunk.offset + local),
-                    representative=int(rep_rows[local]),
-                    relative_difference=float(relative[local]))
-            for local in np.flatnonzero(flagged).tolist())
-    return outliers
+    rep_rows = _representative_table(dataset, representatives)[
+        dataset.domain_code_array()]
+    valid = (dataset.status_array() != NO_RESPONSE) & (rep_rows > 0)
+    if countries is not None:
+        valid &= _country_allowed(dataset, countries)[
+            dataset.country_code_array()]
+    difference = rep_rows - dataset.length_array()
+    relative = np.zeros(len(dataset), dtype=np.float64)
+    np.divide(difference, rep_rows, out=relative, where=rep_rows > 0)
+    if raw_cutoff is not None:
+        flagged = valid & (difference > raw_cutoff)
+    else:
+        flagged = valid & (relative > cutoff)
+    return [Outlier(index=index, sample=dataset.row(index),
+                    representative=int(rep_rows[index]),
+                    relative_difference=float(relative[index]))
+            for index in np.flatnonzero(flagged).tolist()]
 
 
-def relative_differences(dataset: DatasetReader,
+def relative_differences(dataset: ScanDataset,
                          representatives: Mapping[str, int]
                          ) -> List[Tuple[float, bool]]:
     """(relative difference, has-body) for every valid sample — Figure 2.
@@ -156,16 +137,12 @@ def relative_differences(dataset: DatasetReader,
     """
     if len(dataset) == 0:
         return []
-    rep_table = _representative_table(dataset, representatives)
+    rep_rows = _representative_table(dataset, representatives)[
+        dataset.domain_code_array()]
+    valid = (dataset.status_array() != NO_RESPONSE) & (rep_rows > 0)
+    relative = np.zeros(len(dataset), dtype=np.float64)
+    np.divide(rep_rows - dataset.length_array(), rep_rows,
+              out=relative, where=rep_rows > 0)
     has_body = dataset.has_body_array()
-    results: List[Tuple[float, bool]] = []
-    for chunk in dataset.iter_column_chunks():
-        rep_rows = rep_table[chunk.dcodes]
-        valid = (chunk.statuses != NO_RESPONSE) & (rep_rows > 0)
-        relative = np.zeros(chunk.n, dtype=np.float64)
-        np.divide(rep_rows - chunk.lengths, rep_rows,
-                  out=relative, where=rep_rows > 0)
-        results.extend(
-            (float(relative[local]), bool(has_body[chunk.offset + local]))
-            for local in np.flatnonzero(valid).tolist())
-    return results
+    return [(float(relative[index]), bool(has_body[index]))
+            for index in np.flatnonzero(valid).tolist()]

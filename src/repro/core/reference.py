@@ -17,15 +17,15 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.lengths import Outlier
-from repro.lumscan.records import DatasetReader, NO_RESPONSE, Sample
+from repro.lumscan.records import NO_RESPONSE, Sample, ScanDataset
 
 
-def count_status(dataset: DatasetReader, status: int) -> int:
+def count_status(dataset: ScanDataset, status: int) -> int:
     """Scalar reference for :meth:`ScanDataset.count_status`."""
     return sum(1 for sample in dataset if sample.status == status)
 
 
-def error_rate_by_domain(dataset: DatasetReader) -> Dict[str, float]:
+def error_rate_by_domain(dataset: ScanDataset) -> Dict[str, float]:
     """Scalar reference for :meth:`ScanDataset.error_rate_by_domain`."""
     totals: Dict[str, int] = {}
     fails: Dict[str, int] = {}
@@ -36,7 +36,7 @@ def error_rate_by_domain(dataset: DatasetReader) -> Dict[str, float]:
     return {d: fails.get(d, 0) / totals[d] for d in totals}
 
 
-def response_rate_by_country(dataset: DatasetReader) -> Dict[str, float]:
+def response_rate_by_country(dataset: ScanDataset) -> Dict[str, float]:
     """Scalar reference for :meth:`ScanDataset.response_rate_by_country`."""
     responded: Dict[str, set] = {}
     tested: Dict[str, set] = {}
@@ -48,7 +48,7 @@ def response_rate_by_country(dataset: DatasetReader) -> Dict[str, float]:
             for c, doms in tested.items()}
 
 
-def lengths_by_domain(dataset: DatasetReader) -> Dict[str, List[int]]:
+def lengths_by_domain(dataset: ScanDataset) -> Dict[str, List[int]]:
     """Scalar reference for :meth:`ScanDataset.lengths_by_domain`."""
     out: Dict[str, List[int]] = {}
     for sample in dataset:
@@ -57,7 +57,7 @@ def lengths_by_domain(dataset: DatasetReader) -> Dict[str, List[int]]:
     return out
 
 
-def pairs(dataset: DatasetReader) -> Iterator[Tuple[str, str, List[Sample]]]:
+def pairs(dataset: ScanDataset) -> Iterator[Tuple[str, str, List[Sample]]]:
     """Scalar reference for :meth:`ScanDataset.pairs` (equality runs)."""
     n = len(dataset)
     start = 0
@@ -75,7 +75,7 @@ def pairs(dataset: DatasetReader) -> Iterator[Tuple[str, str, List[Sample]]]:
         start = end
 
 
-def representative_lengths(dataset: DatasetReader,
+def representative_lengths(dataset: ScanDataset,
                            reference_countries: Optional[Sequence[str]] = None
                            ) -> Dict[str, int]:
     """Scalar reference for :func:`repro.core.lengths.representative_lengths`."""
@@ -93,7 +93,7 @@ def representative_lengths(dataset: DatasetReader,
     return reps
 
 
-def extract_outliers(dataset: DatasetReader,
+def extract_outliers(dataset: ScanDataset,
                      representatives: Mapping[str, int],
                      cutoff: float = 0.30,
                      raw_cutoff: Optional[int] = None,
@@ -126,7 +126,7 @@ def extract_outliers(dataset: DatasetReader,
     return outliers
 
 
-def relative_differences(dataset: DatasetReader,
+def relative_differences(dataset: ScanDataset,
                          representatives: Mapping[str, int]
                          ) -> List[Tuple[float, bool]]:
     """Scalar reference for :func:`repro.core.lengths.relative_differences`."""

@@ -127,10 +127,8 @@ DEFAULT_CONTRACTS: Tuple[object, ...] = (
     # --- atomic persistence ---------------------------------------- #
     AtomicContract(
         codec="shards",
-        suffixes=(".lshd", ".lshm", "manifest.json"),
-        writers=("write_segment_file", "write_manifest", "store_segment",
-                 "adopt_segment", "append_segment", "compact_manifest",
-                 "dump_dataset_lshd", "dump_dataset_manifest")),
+        suffixes=(".lshd", "manifest.json"),
+        writers=("write_segment_file", "dump_dataset_lshd")),
     AtomicContract(
         codec="worldpack",
         suffixes=(".lshw",),

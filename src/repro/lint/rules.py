@@ -219,8 +219,8 @@ RULES: Tuple[Rule, ...] = (
         severity=SEVERITY_ERROR,
         summary="checkpoint write bypasses temp-then-rename",
         rationale=(
-            "Checkpoint segments (.lshd), manifests (.lshm / "
-            "manifest.json), and worldpacks (.lshw) are only valid "
+            "Checkpoint segments (.lshd), stage manifests "
+            "(manifest.json), and worldpacks (.lshw) are only valid "
             "when they appear atomically: a direct open(path, 'wb') "
             "can be interrupted mid-write and leave a torn file that "
             "resume then trusts.  All writes go through the "
@@ -234,8 +234,7 @@ RULES: Tuple[Rule, ...] = (
         ),
         fix=(
             "Call the codec's atomic writer (write_segment_file, "
-            "write_manifest, write_worldpack_file, _atomic_write_json, "
-            "...) or follow the idiom yourself: write to "
+            "write_worldpack_file, _atomic_write_json, ...) or follow the idiom yourself: write to "
             "f\"{path}.tmp.{os.getpid()}\" and os.replace(tmp, path), "
             "removing the temp on BaseException."
         ),
@@ -315,7 +314,6 @@ SERIALIZATION_SINKS = frozenset({
     "_atomic_write_json",
     "encode_shard", "write_shard", "decode_shard",
     "write_segment_file", "dump_dataset_lshd",
-    "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "write_worldpack_shm",
 })
 
@@ -325,7 +323,6 @@ SERIALIZATION_FUNCTIONS = frozenset({
     "encode_artifact", "dump_dataset", "save_report",
     "encode_shard", "write_shard", "decode_shard",
     "write_segment_file", "dump_dataset_lshd",
-    "write_manifest", "dump_dataset_manifest",
     "encode_worldpack", "write_worldpack_file", "write_worldpack_shm",
 })
 

@@ -61,15 +61,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.lumscan.engine")
 
-from repro.lumscan.records import NO_RESPONSE, ScanDataset, \
-    SegmentedScanDataset
+from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.lumscan.shards import (
     EXCHANGE_MODES,
     ExchangeSpec,
     ShardExchange,
     ShardHandle,
     SpillDatasetBuilder,
-    append_segment,
     open_shard,
     release_shard,
     write_shard,
@@ -417,55 +415,20 @@ class ScanEngine:
 
     def scan(self, urls: Sequence[str], countries: Sequence[str],
              samples: int = 3, epoch: int = 0,
-             dataset: Optional[ScanDataset] = None,
-             append_to: Optional[str] = None) -> ScanDataset:
+             dataset: Optional[ScanDataset] = None) -> ScanDataset:
         """Probe every (country, domain) pair ``samples`` times.
 
         Samples for a pair land contiguously in serial order, which
         downstream consumers (``ScanDataset.pairs``) rely on.
-        ``append_to`` finalizes the run into a new segment of an
-        ``.lshm`` manifest instead (see :meth:`_finalize_append`).
         """
-        tasks = scan_tasks(urls, countries, samples, epoch)
-        if append_to is not None:
-            return self._finalize_append(tasks, dataset, append_to)
-        return self._execute(tasks, dataset)
+        return self._execute(scan_tasks(urls, countries, samples, epoch),
+                             dataset)
 
     def resample(self, pairs: Iterable[Tuple[str, str]], samples: int,
                  epoch: int = 0,
-                 dataset: Optional[ScanDataset] = None,
-                 append_to: Optional[str] = None) -> ScanDataset:
-        """Re-probe specific (domain, country) pairs ``samples`` times.
-
-        ``append_to`` finalizes the run into a new segment of an
-        ``.lshm`` manifest instead (see :meth:`_finalize_append`).
-        """
-        tasks = resample_tasks(pairs, samples, epoch)
-        if append_to is not None:
-            return self._finalize_append(tasks, dataset, append_to)
-        return self._execute(tasks, dataset)
-
-    def _finalize_append(self, tasks: List[ProbeTask],
-                         dataset: Optional[ScanDataset],
-                         manifest_path: str) -> "SegmentedScanDataset":
-        """Run ``tasks`` and append the result as one manifest segment.
-
-        The engine's **append mode**: the run executes into a fresh
-        dataset exactly as usual (any worker count, exchange or merge),
-        the finished rows are written as one fingerprinted segment
-        beside ``manifest_path`` (created when missing), and the
-        manifest gains one entry — prior segments are never read or
-        rewritten, so a rescan costs O(new rows) on the storage side.
-        Returns the whole logical dataset, reopened from the manifest.
-        """
-        if dataset is not None:
-            raise ValueError("append_to and dataset are mutually exclusive: "
-                             "append mode always runs into a fresh segment")
-        from repro.lumscan.serialize import load_dataset
-        result = self._execute(tasks, None)
-        append_segment(manifest_path, result.export_columns())
-        result.close()
-        return load_dataset(manifest_path)
+                 dataset: Optional[ScanDataset] = None) -> ScanDataset:
+        """Re-probe specific (domain, country) pairs ``samples`` times."""
+        return self._execute(resample_tasks(pairs, samples, epoch), dataset)
 
     # ------------------------------------------------------------------ #
 

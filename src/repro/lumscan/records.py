@@ -30,7 +30,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -92,65 +91,6 @@ class ShardColumns:
     error_names: Sequence[str]       # error-kind code table, first-seen order
     bodies: Mapping[int, str]        # retained bodies keyed by row index
     interfered: Collection[int]      # row indices flagged as interfered
-
-
-@dataclass(frozen=True)
-class ColumnChunk:
-    """One contiguous slice of a logical dataset's numeric columns.
-
-    The unit of segmented kernel execution: every analysis kernel that
-    folds partial aggregates (``repro.core.lengths`` and friends) walks
-    :meth:`DatasetReader.iter_column_chunks` instead of materializing
-    whole-dataset arrays.  Codes are **global** — a multi-segment
-    dataset remaps each segment's local codes through its merged tables
-    before yielding, so ``dcodes``/``ccodes`` index the same
-    ``domains()``/``countries()`` tables regardless of how the rows are
-    physically sharded.
-    """
-
-    offset: int              # global row index of this chunk's first row
-    n: int                   # rows in this chunk
-    dcodes: np.ndarray       # int32 global domain code per row
-    ccodes: np.ndarray       # int32 global country code per row
-    statuses: np.ndarray     # int16 HTTP status per row
-    lengths: np.ndarray      # int64 body length per row
-
-
-class DatasetReader(Protocol):
-    """The narrowed read surface the analysis layer consumes.
-
-    Both :class:`ScanDataset` (one flat segment) and
-    :class:`SegmentedScanDataset` (a manifest of segments read as one
-    logical dataset) satisfy this protocol; everything in ``repro.core``
-    and ``repro.analysis`` that only *reads* scan results is typed
-    against it, so kernels are agnostic to physical layout.  Mutation
-    (``append``/``extend``) is deliberately outside the protocol —
-    producers build concrete :class:`ScanDataset` objects.
-    """
-
-    def __len__(self) -> int: ...
-    def row(self, index: int) -> Sample: ...
-    def __iter__(self) -> Iterator[Sample]: ...
-    def body(self, index: int) -> Optional[str]: ...
-    def error(self, index: int) -> Optional[str]: ...
-    def domains(self) -> List[str]: ...
-    def countries(self) -> List[str]: ...
-    def domain_code(self, domain: str) -> Optional[int]: ...
-    def country_code(self, country: str) -> Optional[int]: ...
-    def status_array(self) -> np.ndarray: ...
-    def length_array(self) -> np.ndarray: ...
-    def domain_code_array(self) -> np.ndarray: ...
-    def country_code_array(self) -> np.ndarray: ...
-    def ok_array(self) -> np.ndarray: ...
-    def has_body_array(self) -> np.ndarray: ...
-    def country_mask(self, countries) -> np.ndarray: ...
-    def iter_runs(self) -> Iterator[Tuple[str, str, int, int]]: ...
-    def pairs(self) -> Iterator[Tuple[str, str, List[Sample]]]: ...
-    def iter_column_chunks(self) -> Iterator[ColumnChunk]: ...
-    def count_status(self, status: int) -> int: ...
-    def error_rate_by_domain(self) -> Dict[str, float]: ...
-    def response_rate_by_country(self) -> Dict[str, float]: ...
-    def lengths_by_domain(self) -> Dict[str, List[int]]: ...
 
 
 class ScanDataset:
@@ -493,25 +433,6 @@ class ScanDataset:
         return allowed[self.country_code_array()] if self._n else \
             np.zeros(0, dtype=bool)
 
-    def iter_column_chunks(self) -> Iterator[ColumnChunk]:
-        """Yield this dataset's numeric columns as one chunk.
-
-        A flat dataset is its own (single) chunk; its codes are already
-        global.  Segmented datasets yield one chunk per segment with
-        remapped codes, so kernels written as chunk folds run
-        bit-identically on either layout.
-        """
-        if self._n == 0:
-            return
-        yield ColumnChunk(
-            offset=0,
-            n=self._n,
-            dcodes=self._view(self._dcodes),
-            ccodes=self._view(self._ccodes),
-            statuses=self._view(self._statuses),
-            lengths=self._view(self._lengths),
-        )
-
     # ------------------------------------------------------------------ #
     # Iteration over contiguous (domain, country) runs
 
@@ -619,372 +540,3 @@ class ScanDataset:
         return {names[sorted_codes[start]]: group.tolist()
                 for start, group in zip(starts.tolist(), groups)}
 
-
-class SegmentedScanDataset:
-    """A manifest of segments read as **one** logical dataset.
-
-    The multi-segment counterpart of :class:`ScanDataset`: an ordered
-    list of per-segment datasets (typically zero-copy mapped LSHD
-    segments) presented behind the :class:`DatasetReader` protocol.
-    Nothing is merged up front — construction builds only the **global
-    code tables** (each part's names interned in part order, exactly the
-    first-seen order an ``extend``-merge would produce) and one small
-    local→global remap array per part per categorical column.
-
-    Aggregation kernels fold per-segment partial aggregates in the
-    global code space, bit-identically to running the flat kernel over
-    the same rows in one segment: the global tables equal the merged
-    tables, every kernel's output dict iterates ascending global code
-    (or, for ``lengths_by_domain``, preserves global append order), and
-    the arithmetic is element-wise identical.  Appending history is a
-    manifest-level operation (:func:`repro.lumscan.shards.append_segment`)
-    — this class is deliberately read-only.
-    """
-
-    def __init__(self, parts: Sequence[ScanDataset],
-                 fingerprints: Optional[Sequence[Optional[str]]] = None
-                 ) -> None:
-        self._parts: List[ScanDataset] = list(parts)
-        if fingerprints is None:
-            self._fingerprints: Tuple[Optional[str], ...] = \
-                (None,) * len(self._parts)
-        else:
-            if len(fingerprints) != len(self._parts):
-                raise ValueError("one fingerprint (or None) per part "
-                                 "required")
-            self._fingerprints = tuple(fingerprints)
-        # Global categorical tables: every part's names interned in part
-        # order — identical to the first-seen order of an extend-merge.
-        self._domain_code: Dict[str, int] = {}
-        self._domain_names: List[str] = []
-        self._country_code: Dict[str, int] = {}
-        self._country_names: List[str] = []
-        self._error_code: Dict[str, int] = {}
-        self._error_names: List[str] = []
-        self._dmaps: List[np.ndarray] = []
-        self._cmaps: List[np.ndarray] = []
-        for part in self._parts:
-            self._dmaps.append(np.fromiter(
-                (ScanDataset._intern(self._domain_code, self._domain_names,
-                                     name) for name in part._domain_names),
-                dtype=np.int32, count=len(part._domain_names)))
-            self._cmaps.append(np.fromiter(
-                (ScanDataset._intern(self._country_code, self._country_names,
-                                     name) for name in part._country_names),
-                dtype=np.int32, count=len(part._country_names)))
-            for name in part._error_names:
-                ScanDataset._intern(self._error_code, self._error_names, name)
-        counts = np.array([len(part) for part in self._parts],
-                          dtype=np.int64)
-        self._starts = np.concatenate(([0], np.cumsum(counts)))
-        self._n = int(self._starts[-1])
-        self._closed = False
-        # Whole-column materializations, built lazily and kept (the
-        # analysis layer calls the same accessor repeatedly).
-        self._cache: Dict[str, np.ndarray] = {}
-
-    # ------------------------------------------------------------------ #
-    # Structure
-
-    @property
-    def parts(self) -> Tuple[ScanDataset, ...]:
-        """The per-segment datasets, in logical (manifest) order."""
-        return tuple(self._parts)
-
-    @property
-    def part_fingerprints(self) -> Tuple[Optional[str], ...]:
-        """Per-part segment fingerprints (None for ad-hoc parts)."""
-        return self._fingerprints
-
-    @property
-    def is_mapped(self) -> bool:
-        """True while any part is a view over a backing segment mapping."""
-        return any(part.is_mapped for part in self._parts)
-
-    def close(self) -> bool:
-        """Close every part and invalidate this dataset.
-
-        Returns False when any part's mapping stays pinned by live
-        views (see :meth:`ScanDataset.close`).
-        """
-        self._closed = True
-        self._n = 0
-        self._cache = {}
-        self._starts = np.zeros(1, dtype=np.int64)
-        released = True
-        for part in self._parts:
-            released = part.close() and released
-        return released
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ValueError("dataset is closed")
-
-    def _locate(self, index: int) -> Tuple[ScanDataset, int]:
-        if not 0 <= index < self._n:
-            raise IndexError(f"row index {index} out of range")
-        pi = int(np.searchsorted(self._starts, index, side="right")) - 1
-        return self._parts[pi], index - int(self._starts[pi])
-
-    def materialize(self) -> ScanDataset:
-        """Merge every segment into one flat in-memory dataset.
-
-        Bit-equivalent to having scanned the same rows into a single
-        dataset (same interning order); used by re-serialization paths
-        and ``load_dataset(mmap=False)``.
-        """
-        self._check_open()
-        merged = ScanDataset()
-        for part in self._parts:
-            merged.extend(part)
-        return merged
-
-    def export_columns(self) -> ShardColumns:
-        """The merged logical columns as one flat bundle (copies rows)."""
-        return self.materialize().export_columns()
-
-    # ------------------------------------------------------------------ #
-    # Row access
-
-    def __len__(self) -> int:
-        return self._n
-
-    def row(self, index: int) -> Sample:
-        """Materialize the record at the global ``index``."""
-        self._check_open()
-        part, local = self._locate(index)
-        return part.row(local)
-
-    def __iter__(self) -> Iterator[Sample]:
-        self._check_open()
-        for part in self._parts:
-            yield from part
-
-    def body(self, index: int) -> Optional[str]:
-        """The retained body at ``index`` (None when dropped or absent)."""
-        self._check_open()
-        part, local = self._locate(index)
-        return part.body(local)
-
-    def error(self, index: int) -> Optional[str]:
-        """The error kind at ``index`` (None for HTTP responses)."""
-        self._check_open()
-        part, local = self._locate(index)
-        return part.error(local)
-
-    # ------------------------------------------------------------------ #
-    # Columnar views (concatenated lazily, cached)
-
-    def _concat(self, key: str, arrays: List[np.ndarray],
-                dtype) -> np.ndarray:
-        cached = self._cache.get(key)
-        if cached is None:
-            if arrays:
-                cached = np.concatenate(arrays)
-            else:
-                cached = np.zeros(0, dtype=dtype)
-            cached.flags.writeable = False
-            self._cache[key] = cached
-        return cached
-
-    def status_array(self) -> np.ndarray:
-        """Status per row (int16; NO_RESPONSE for failures)."""
-        self._check_open()
-        return self._concat("statuses",
-                            [part.status_array() for part in self._parts],
-                            np.int16)
-
-    def length_array(self) -> np.ndarray:
-        """Body length per row (int64)."""
-        self._check_open()
-        return self._concat("lengths",
-                            [part.length_array() for part in self._parts],
-                            np.int64)
-
-    def domain_code_array(self) -> np.ndarray:
-        """Global domain code per row (int32 into :meth:`domains`)."""
-        self._check_open()
-        return self._concat(
-            "dcodes",
-            [dmap[part.domain_code_array()]
-             for dmap, part in zip(self._dmaps, self._parts) if len(part)],
-            np.int32)
-
-    def country_code_array(self) -> np.ndarray:
-        """Global country code per row (int32 into :meth:`countries`)."""
-        self._check_open()
-        return self._concat(
-            "ccodes",
-            [cmap[part.country_code_array()]
-             for cmap, part in zip(self._cmaps, self._parts) if len(part)],
-            np.int32)
-
-    def domain_code(self, domain: str) -> Optional[int]:
-        """Global categorical code of ``domain`` (None when never seen)."""
-        return self._domain_code.get(domain)
-
-    def country_code(self, country: str) -> Optional[int]:
-        """Global categorical code of ``country`` (None when never seen)."""
-        return self._country_code.get(country)
-
-    def ok_array(self) -> np.ndarray:
-        """Boolean mask of rows with an HTTP response."""
-        return self.status_array() != NO_RESPONSE
-
-    def has_body_array(self) -> np.ndarray:
-        """Boolean mask of rows whose body was retained."""
-        self._check_open()
-        return self._concat("has_body",
-                            [part.has_body_array() for part in self._parts],
-                            bool)
-
-    def country_mask(self, countries) -> np.ndarray:
-        """Boolean mask of rows whose country is in ``countries``."""
-        self._check_open()
-        allowed = np.zeros(len(self._country_names), dtype=bool)
-        for country in countries:
-            code = self._country_code.get(country)
-            if code is not None:
-                allowed[code] = True
-        return allowed[self.country_code_array()] if self._n else \
-            np.zeros(0, dtype=bool)
-
-    def iter_column_chunks(self) -> Iterator[ColumnChunk]:
-        """One chunk per segment, codes remapped into the global tables."""
-        self._check_open()
-        for pi, part in enumerate(self._parts):
-            if len(part) == 0:
-                continue
-            yield ColumnChunk(
-                offset=int(self._starts[pi]),
-                n=len(part),
-                dcodes=self._dmaps[pi][part.domain_code_array()],
-                ccodes=self._cmaps[pi][part.country_code_array()],
-                statuses=part.status_array(),
-                lengths=part.length_array(),
-            )
-
-    # ------------------------------------------------------------------ #
-    # Iteration over contiguous (domain, country) runs
-
-    def iter_runs(self) -> Iterator[Tuple[str, str, int, int]]:
-        """Yield (domain, country, start, stop) over contiguous runs.
-
-        Runs that span a segment boundary — a rescan appending more
-        samples for the pair its predecessor ended on — are merged by
-        name equality, so segmentation never fragments a run.
-        """
-        self._check_open()
-        pending: Optional[Tuple[str, str, int, int]] = None
-        for pi, part in enumerate(self._parts):
-            offset = int(self._starts[pi])
-            for domain, country, start, stop in part.iter_runs():
-                gstart, gstop = offset + start, offset + stop
-                if pending is not None and pending[0] == domain \
-                        and pending[1] == country and pending[3] == gstart:
-                    pending = (domain, country, pending[2], gstop)
-                    continue
-                if pending is not None:
-                    yield pending
-                pending = (domain, country, gstart, gstop)
-        if pending is not None:
-            yield pending
-
-    def pairs(self) -> Iterator[Tuple[str, str, List[Sample]]]:
-        """Iterate (domain, country, samples) over contiguous runs."""
-        for domain, country, start, stop in self.iter_runs():
-            yield domain, country, [self.row(i) for i in range(start, stop)]
-
-    # ------------------------------------------------------------------ #
-    # Aggregation kernels: per-segment partial aggregates, folded in the
-    # global code space bit-identically to the flat kernels.
-
-    def domains(self) -> List[str]:
-        """Unique domains in first-seen order (the global code table)."""
-        return list(self._domain_names)
-
-    def countries(self) -> List[str]:
-        """Unique countries in first-seen order (the global code table)."""
-        return list(self._country_names)
-
-    def count_status(self, status: int) -> int:
-        """Number of records with the given HTTP status (per-part sum)."""
-        self._check_open()
-        return sum(part.count_status(status) for part in self._parts)
-
-    def error_rate_by_domain(self) -> Dict[str, float]:
-        """Fraction of failed probes per domain (folded bincounts)."""
-        self._check_open()
-        n_domains = len(self._domain_names)
-        if self._n == 0 or n_domains == 0:
-            return {}
-        totals = np.zeros(n_domains, dtype=np.int64)
-        fails = np.zeros(n_domains, dtype=np.int64)
-        for chunk in self.iter_column_chunks():
-            totals += np.bincount(chunk.dcodes, minlength=n_domains)
-            fails += np.bincount(chunk.dcodes[chunk.statuses == NO_RESPONSE],
-                                 minlength=n_domains)
-        names = self._domain_names
-        return {names[code]: float(fails[code]) / float(totals[code])
-                for code in range(n_domains) if totals[code]}
-
-    def response_rate_by_country(self) -> Dict[str, float]:
-        """Per country: fraction of domains with >= 1 valid response.
-
-        Each segment contributes its distinct fused (country, domain)
-        keys — already in the global code space — and the fold is one
-        more ``np.unique`` over the concatenation.
-        """
-        self._check_open()
-        if self._n == 0:
-            return {}
-        n_domains = len(self._domain_names)
-        n_countries = len(self._country_names)
-        tested_parts: List[np.ndarray] = []
-        responded_parts: List[np.ndarray] = []
-        for chunk in self.iter_column_chunks():
-            keys = chunk.ccodes.astype(np.int64) * n_domains + chunk.dcodes
-            tested_parts.append(np.unique(keys))
-            responded_parts.append(
-                np.unique(keys[chunk.statuses != NO_RESPONSE]))
-        tested = np.unique(np.concatenate(tested_parts))
-        responded = np.unique(np.concatenate(responded_parts))
-        tested_counts = np.bincount(tested // n_domains,
-                                    minlength=n_countries)
-        responded_counts = np.bincount(responded // n_domains,
-                                       minlength=n_countries)
-        names = self._country_names
-        return {names[code]:
-                float(responded_counts[code]) / float(tested_counts[code])
-                for code in range(n_countries) if tested_counts[code]}
-
-    def lengths_by_domain(self) -> Dict[str, List[int]]:
-        """Map domain -> all observed 200-response body lengths.
-
-        Hit rows are selected per segment (codes already global) and
-        concatenated in segment order — the global append order — so
-        the stable grouping sort reproduces the flat kernel's per-domain
-        length order exactly.
-        """
-        self._check_open()
-        if self._n == 0:
-            return {}
-        codes_parts: List[np.ndarray] = []
-        lengths_parts: List[np.ndarray] = []
-        for chunk in self.iter_column_chunks():
-            hit = np.flatnonzero(chunk.statuses == 200)
-            if hit.size:
-                codes_parts.append(chunk.dcodes[hit])
-                lengths_parts.append(chunk.lengths[hit])
-        if not codes_parts:
-            return {}
-        codes = np.concatenate(codes_parts)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        sorted_lengths = np.concatenate(lengths_parts)[order]
-        boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        groups = np.split(sorted_lengths, boundaries)
-        names = self._domain_names
-        return {names[sorted_codes[start]]: group.tolist()
-                for start, group in zip(starts.tolist(), groups)}

@@ -1,27 +1,25 @@
 """On-disk persistence for scan datasets: LSHD segments and JSONL.
 
 Scans are expensive (millions of probes), so batch runs save raw results
-and analyses reload them.  Three formats are supported, dispatched by
+and analyses reload them.  Two formats are supported, dispatched by
 magic bytes (never by file extension):
 
-* **LSHD columnar segments** (:func:`dump_dataset_lshd`) — the default
+* **LSHD columnar segments** (:func:`dump_dataset_lshd`) — the
   checkpoint format: the dataset's raw column buffers plus canonical
   JSON code tables in one fingerprinted segment (see
   :mod:`repro.lumscan.shards`).  :func:`load_dataset` maps a segment
   back as zero-copy column views, so loading is O(columns) instead of
   O(rows).
-* **LSHM manifests** (:func:`dump_dataset_manifest`) — a canonical-JSON
-  list of LSHD segments read back as one logical
-  :class:`SegmentedScanDataset`; history is appended as new segments
-  (see :func:`repro.lumscan.shards.append_segment`) rather than
-  rewritten, and compaction merges segments byte-identically to the
-  sequential writer.
 * **JSONL** (:func:`dump_dataset`) — one JSON object per record:
   append-friendly, diff-able, and stream-parsable; kept as the export /
   interchange format and for checkpoints written before the columnar
   format existed.  Paths ending in ``.gz`` are transparently
   compressed, with ``mtime=0`` so identical datasets produce identical
   bytes.
+
+Legacy LSHM multi-segment manifests are recognized by their magic but no
+longer read: :func:`load_dataset` rejects them with a ``ValueError``
+that names the format.
 
 Both writers share the crash-safety contract: data goes to a temporary
 file in the target directory and is atomically :func:`os.replace`\\ d
@@ -40,23 +38,11 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from repro.lumscan.records import (
-    DatasetReader,
-    ScanDataset,
-    SegmentedScanDataset,
-    ShardColumns,
-)
+from repro.lumscan.records import ScanDataset, ShardColumns
 from repro.lumscan.shards import (
     MAGIC as _LSHD_MAGIC,
-    MANIFEST_MAGIC as _LSHM_MAGIC,
-    SegmentEntry,
     SegmentMapping,
     decode_shard,
-    manifest_stem,
-    read_manifest,
-    segment_file_name,
-    store_segment,
-    write_manifest,
     write_segment_file,
 )
 
@@ -64,6 +50,9 @@ _FIELDS = ("domain", "country", "status", "length", "body", "error",
            "interfered")
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+#: Magic of the retired LSHM multi-segment manifest format.
+_LSHM_MAGIC = b"LSHM"
 
 PathLike = Union[str, os.PathLike]
 
@@ -86,7 +75,8 @@ def _is_gzip(path: PathLike) -> bool:
 def sniff_format(path: PathLike) -> str:
     """Detect a dataset file's on-disk format from its magic bytes.
 
-    Returns ``"lshd"``, ``"lshm"``, ``"jsonl.gz"``, or ``"jsonl"``.  The
+    Returns ``"lshd"``, ``"lshm"`` (a retired manifest, recognized only
+    so it can be rejected by name), ``"jsonl.gz"``, or ``"jsonl"``.  The
     extension is never trusted, so renamed or legacy checkpoints load
     correctly.
     """
@@ -140,7 +130,7 @@ def _open_text(path: PathLike, compressed: bool) -> io.TextIOBase:
     return open(path, "r", encoding="utf-8")
 
 
-def dump_dataset(dataset: DatasetReader, path: PathLike) -> int:
+def dump_dataset(dataset: ScanDataset, path: PathLike) -> int:
     """Write a dataset as JSONL; returns the number of records written.
 
     The write is atomic (temp file + ``os.replace``) and transparently
@@ -166,7 +156,7 @@ def dump_dataset(dataset: DatasetReader, path: PathLike) -> int:
     return count
 
 
-def dump_dataset_lshd(dataset: DatasetReader, path: PathLike) -> int:
+def dump_dataset_lshd(dataset: ScanDataset, path: PathLike) -> int:
     """Write a dataset as one LSHD columnar segment.
 
     The checkpoint-side writer: atomic (temp + ``os.replace``),
@@ -175,38 +165,6 @@ def dump_dataset_lshd(dataset: DatasetReader, path: PathLike) -> int:
     zero-copy column views.  Returns the number of records written.
     """
     write_segment_file(dataset.export_columns(), os.fspath(path))
-    return len(dataset)
-
-
-def dump_dataset_manifest(dataset: DatasetReader, path: PathLike) -> int:
-    """Write a dataset as an ``.lshm`` manifest of LSHD segments.
-
-    A :class:`SegmentedScanDataset` keeps its physical segmentation:
-    parts whose fingerprinted segment file already exists beside the
-    manifest (under its content-addressed name) are **reused without a
-    byte of rewrite** — re-checkpointing a logical dataset that grew by
-    one rescan segment costs O(new rows).  Flat datasets (and parts
-    without a known fingerprint) are written as fresh segments.
-    Returns the number of records covered.
-    """
-    target = os.fspath(path)
-    base = os.path.dirname(os.path.abspath(target))
-    if isinstance(dataset, SegmentedScanDataset):
-        parts = dataset.parts
-        fingerprints = dataset.part_fingerprints
-    else:
-        parts = (dataset,)
-        fingerprints = (None,)
-    entries = []
-    for part, fingerprint in zip(parts, fingerprints):
-        if fingerprint is not None:
-            name = segment_file_name(manifest_stem(target), fingerprint)
-            if os.path.exists(os.path.join(base, name)):
-                entries.append(SegmentEntry(file=name, rows=len(part),
-                                            fingerprint=fingerprint))
-                continue
-        entries.append(store_segment(part.export_columns(), target))
-    write_manifest(target, entries)
     return len(dataset)
 
 
@@ -237,49 +195,23 @@ def _load_segment(path: PathLike, mmap_columns: bool) -> ScanDataset:
     return ScanDataset.from_columns(materialized)
 
 
-def _load_manifest(path: PathLike, mmap_columns: bool) -> DatasetReader:
-    """Open an ``.lshm`` manifest as one logical dataset.
-
-    Each segment opens exactly as :func:`_load_segment` would (mapped,
-    zero-copy) and the parts are presented as one
-    :class:`SegmentedScanDataset` carrying the manifest's per-segment
-    fingerprints, so re-checkpointing can reuse the segment files.
-    ``mmap=False`` materializes everything into one flat dataset.
-    """
-    manifest = read_manifest(path)
-    base = os.path.dirname(os.path.abspath(os.fspath(path)))
-    parts = []
-    try:
-        for entry in manifest.entries:
-            parts.append(_load_segment(os.path.join(base, entry.file),
-                                       mmap_columns=mmap_columns))
-    except BaseException:
-        for part in parts:
-            part.close()
-        raise
-    logical = SegmentedScanDataset(
-        parts, fingerprints=[entry.fingerprint for entry in manifest.entries])
-    if mmap_columns:
-        return logical
-    return logical.materialize()
-
-
-def load_dataset(path: PathLike, mmap: bool = True) -> DatasetReader:
+def load_dataset(path: PathLike, mmap: bool = True) -> ScanDataset:
     """Read a dataset in any supported on-disk format.
 
     The format is sniffed from magic bytes: LSHD segments come back as
-    zero-copy mapped datasets and LSHM manifests as multi-segment
-    :class:`SegmentedScanDataset` logical datasets (``mmap=False``
-    copies the columns into ordinary growable buffers and releases the
-    mappings immediately); gzip and plain JSONL — including checkpoints
-    written before the columnar format existed — parse row by row as
-    before.
+    zero-copy mapped datasets (``mmap=False`` copies the columns into
+    ordinary growable buffers and releases the mapping immediately);
+    gzip and plain JSONL — including checkpoints written before the
+    columnar format existed — parse row by row as before.  A retired
+    LSHM manifest raises ``ValueError``.
     """
     fmt = sniff_format(path)
     if fmt == "lshd":
         return _load_segment(path, mmap_columns=mmap)
     if fmt == "lshm":
-        return _load_manifest(path, mmap_columns=mmap)
+        raise ValueError(f"{os.fspath(path)}: LSHM multi-segment manifests "
+                         f"are no longer supported; re-run the stage to "
+                         f"write an LSHD segment")
     dataset = ScanDataset()
     with _open_text(path, compressed=(fmt == "jsonl.gz")) as handle:
         for line_number, line in enumerate(handle, start=1):

@@ -126,10 +126,8 @@ LINT_RESOURCE_CONTRACT = {
          "view_funcs": ["decode_shard"]},
     ],
     "atomic": {
-        "suffixes": [".lshd", ".lshm", "manifest.json"],
-        "writers": ["write_segment_file", "write_manifest",
-                    "store_segment", "adopt_segment", "append_segment",
-                    "compact_manifest"],
+        "suffixes": [".lshd", "manifest.json"],
+        "writers": ["write_segment_file"],
     },
 }
 
@@ -798,259 +796,3 @@ class SpillDatasetBuilder:
                 handle.close()
         shutil.rmtree(self._dir, ignore_errors=True)
 
-
-# --------------------------------------------------------------------- #
-# Manifests: multi-segment logical datasets (format LSHM v1)
-
-MANIFEST_MAGIC = b"LSHM"
-MANIFEST_VERSION = 1
-
-#: Canonical manifest file suffix (sniffing is by magic, never suffix).
-MANIFEST_SUFFIX = ".lshm"
-
-
-@dataclass(frozen=True)
-class SegmentEntry:
-    """One segment of a manifest-backed logical dataset.
-
-    ``file`` is the segment's name relative to the manifest's directory,
-    so a checkpoint directory can be moved or copied wholesale.
-    """
-
-    file: str          # segment filename, relative to the manifest
-    rows: int          # row count (the segment header's ``n``)
-    fingerprint: str   # the segment header's blake2b-128 fingerprint
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """A decoded ``.lshm`` manifest: an ordered list of segment entries.
-
-    Segment order is load order — appending a rescan adds an entry at
-    the end, so the logical row order is history order.  The manifest
-    fingerprint is a pure function of the entry fingerprints (in order),
-    which makes it a content key for the whole logical dataset without
-    rehashing any payload bytes.
-    """
-
-    path: str
-    entries: Tuple[SegmentEntry, ...]
-
-    @property
-    def rows(self) -> int:
-        """Total logical row count across all segments."""
-        return sum(entry.rows for entry in self.entries)
-
-    @property
-    def fingerprint(self) -> str:
-        """Combined fingerprint over the entry fingerprints, in order."""
-        return manifest_fingerprint(self.entries)
-
-    def segment_paths(self) -> List[str]:
-        """Absolute segment paths, in manifest (load) order."""
-        base = os.path.dirname(os.path.abspath(self.path))
-        return [os.path.join(base, entry.file) for entry in self.entries]
-
-
-def manifest_fingerprint(entries) -> str:
-    """Fold per-segment fingerprints into the manifest fingerprint.
-
-    Mirrors :func:`_combine_digests`: the outer hash runs over the
-    segments' digest bytes in manifest order, so the value changes iff a
-    segment's content, count, or order changes.
-    """
-    outer = hashlib.blake2b(digest_size=FINGERPRINT_BYTES)
-    for entry in entries:
-        outer.update(bytes.fromhex(entry.fingerprint))
-    return outer.hexdigest()
-
-
-def write_manifest(path, entries) -> Manifest:
-    """Write an ``.lshm`` manifest atomically; returns the manifest.
-
-    Layout: ``b"LSHM"`` followed by canonical JSON (sorted keys, no
-    whitespace) — every byte a pure function of the entry list, so the
-    writer is a ``repro.lint`` serialization sink.  Entry order is
-    preserved (it *is* the logical row order).
-    """
-    entries = tuple(entries)
-    doc = {
-        "version": MANIFEST_VERSION,
-        "fingerprint": manifest_fingerprint(entries),
-        "rows": sum(entry.rows for entry in entries),
-        "segments": [[entry.file, int(entry.rows), entry.fingerprint]
-                     for entry in entries],
-    }
-    blob = MANIFEST_MAGIC + json.dumps(
-        doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    target = os.fspath(path)
-    tmp = f"{target}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return Manifest(path=target, entries=entries)
-
-
-def read_manifest(path) -> Manifest:
-    """Read and validate an ``.lshm`` manifest."""
-    name = os.fspath(path)
-    with open(name, "rb") as handle:
-        blob = handle.read()
-    if blob[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
-        raise ValueError(f"{name}: not an LSHM manifest (bad magic)")
-    doc = json.loads(blob[len(MANIFEST_MAGIC):].decode("utf-8"))
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"{name}: unsupported manifest version "
-                         f"{doc.get('version')!r}")
-    entries = tuple(SegmentEntry(file=file, rows=int(rows), fingerprint=fp)
-                    for file, rows, fp in doc["segments"])
-    recorded = doc.get("fingerprint")
-    if recorded != manifest_fingerprint(entries):
-        raise ValueError(f"{name}: manifest fingerprint mismatch")
-    total = sum(entry.rows for entry in entries)
-    if doc.get("rows") != total:
-        raise ValueError(f"{name}: manifest row count mismatch "
-                         f"(recorded {doc.get('rows')!r}, "
-                         f"entries sum to {total})")
-    return Manifest(path=name, entries=entries)
-
-
-def segment_file_name(stem: str, fingerprint: str) -> str:
-    """Content-addressed segment file name under a manifest stem."""
-    return f"{stem}.seg-{fingerprint}.lshd"
-
-
-def manifest_stem(manifest_path: str) -> str:
-    stem = os.path.basename(manifest_path)
-    if stem.endswith(MANIFEST_SUFFIX):
-        stem = stem[: -len(MANIFEST_SUFFIX)]
-    return stem
-
-
-def store_segment(columns: ShardColumns, manifest_path) -> SegmentEntry:
-    """Write ``columns`` as a content-addressed segment beside a manifest.
-
-    The segment is written to a temp name, its fingerprint read back
-    from the header, and the file renamed to
-    ``<stem>.seg-<fingerprint>.lshd`` — so identical row sets land on
-    the identical file (idempotent re-writes) and the entry records
-    exactly what the header says.  The manifest itself is not touched.
-    """
-    target = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(target))
-    tmp = os.path.join(base, f".{manifest_stem(target)}.seg.{os.getpid()}.tmp")
-    write_segment_file(columns, tmp, fingerprint=True)
-    try:
-        header = read_segment_header(tmp)
-        name = segment_file_name(manifest_stem(target),
-                                 str(header["fingerprint"]))
-        os.replace(tmp, os.path.join(base, name))
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return SegmentEntry(file=name, rows=int(header["n"]),
-                        fingerprint=str(header["fingerprint"]))
-
-
-def adopt_segment(manifest_path, segment_path) -> Manifest:
-    """Move an existing segment file under a manifest and append it.
-
-    The spill-merge counterpart of :func:`append_segment`: the segment
-    was already finalized on disk (e.g. by :class:`SpillDatasetBuilder`),
-    so it is renamed into its content-addressed name — never re-written —
-    and the manifest gains one entry.  Cost is O(header + rename),
-    independent of segment size.
-    """
-    target = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(target))
-    header = read_segment_header(segment_path)
-    fingerprint = header.get("fingerprint")
-    if not fingerprint:
-        raise ValueError(f"{os.fspath(segment_path)}: segment carries no "
-                         f"fingerprint; re-write it with fingerprint=True")
-    name = segment_file_name(manifest_stem(target), str(fingerprint))
-    final = os.path.join(base, name)
-    if os.path.abspath(os.fspath(segment_path)) != os.path.abspath(final):
-        os.replace(segment_path, final)
-    entry = SegmentEntry(file=name, rows=int(header["n"]),
-                         fingerprint=str(fingerprint))
-    entries = read_manifest(target).entries if os.path.exists(target) else ()
-    return write_manifest(target, entries + (entry,))
-
-
-def append_segment(manifest_path, columns: ShardColumns) -> Manifest:
-    """Append ``columns`` as one new segment of a manifest.
-
-    Creates the manifest when it does not exist.  Cost is O(new rows):
-    prior segments are never read or rewritten — only the (tiny)
-    manifest file is replaced, atomically, after the new segment is
-    fully on disk.  A crash between the two leaves an unreferenced
-    segment file and a still-valid manifest.
-    """
-    target = os.fspath(manifest_path)
-    entry = store_segment(columns, target)
-    entries = read_manifest(target).entries if os.path.exists(target) else ()
-    return write_manifest(target, entries + (entry,))
-
-
-def compact_manifest(manifest_path,
-                     spill_dir: Optional[str] = None) -> Manifest:
-    """Merge all of a manifest's segments into one.
-
-    Streams every segment through :class:`SpillDatasetBuilder` in
-    manifest order — identical first-seen interning to an in-memory
-    merge, so the compacted segment is **byte-identical** to writing the
-    merged rows with the sequential :func:`write_segment_file` — then
-    rewrites the manifest to the single new entry and unlinks the old
-    segment files.  Live mappings over the old segments stay readable
-    (POSIX unlink semantics).
-    """
-    target = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(target))
-    manifest = read_manifest(target)
-    tmp = os.path.join(base, f".{manifest_stem(target)}.compact."
-                             f"{os.getpid()}.tmp")
-    builder = SpillDatasetBuilder(spill_dir or base)
-    try:
-        for entry in manifest.entries:
-            mapping = SegmentMapping(os.path.join(base, entry.file))
-            try:
-                builder.extend_columns(decode_shard(mapping.buffer))
-            finally:
-                mapping.close()
-        merged = builder.finalize(path=tmp)
-    except BaseException:
-        builder.abort()
-        raise
-    merged.close()
-    try:
-        header = read_segment_header(tmp)
-        name = segment_file_name(manifest_stem(target),
-                                 str(header["fingerprint"]))
-        os.replace(tmp, os.path.join(base, name))
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    entry = SegmentEntry(file=name, rows=int(header["n"]),
-                         fingerprint=str(header["fingerprint"]))
-    compacted = write_manifest(target, (entry,))
-    for old in manifest.entries:
-        if old.file != name:
-            try:
-                os.remove(os.path.join(base, old.file))
-            except FileNotFoundError:
-                pass
-    return compacted

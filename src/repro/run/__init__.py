@@ -7,7 +7,7 @@ every phase.  This package turns each study into an explicit stage graph:
 * :class:`Stage` — one named phase with declared output artifacts;
 * :class:`RunContext` — the shared state a stage reads from and writes to;
 * :class:`ArtifactStore` — fingerprint-keyed, crash-safe checkpointing of
-  stage outputs (scan datasets as mmap-able LSHD/LSHM segments, derived
+  stage outputs (scan datasets as mmap-able LSHD segments, derived
   artifacts as versioned JSON);
 * :class:`StudyRunner` — executes a stage list in order, skipping stages
   whose checkpoints are complete and loading their artifacts instead.

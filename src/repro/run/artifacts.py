@@ -6,12 +6,6 @@ Layout under the checkpoint root::
     <root>/<study>/<stage>.<artifact>.json      derived artifacts (tagged JSON)
     <root>/<study>/<stage>.<artifact>.lshd      scan datasets (columnar
                                                 segments, mmap-loaded)
-    <root>/<study>/<stage>.<artifact>.lshm      manifest-backed datasets:
-                                                a canonical-JSON list of
-                                                content-addressed segment
-                                                files beside it — rescans
-                                                append a segment instead
-                                                of rewriting history
 
 Every stage is keyed by a **fingerprint**: a SHA-256 over the canonical
 JSON of ``(StudyConfig, WorldConfig, study name, stage name)`` plus an
@@ -28,39 +22,43 @@ Crash safety is ordering + atomicity: artifact files are written first
 is *complete* only when a manifest with a matching fingerprint exists and
 every artifact file it lists is present — an interrupted run can never
 leave a checkpoint that loads as complete but is truncated.
+
+Datasets are always written as LSHD segments.  JSONL checkpoints from
+older stores still load; a stage whose manifest lists a retired ``.lshm``
+multi-segment dataset counts as incomplete, so a resume re-executes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import glob
 import hashlib
 import json
 import os
 from types import MappingProxyType
 from typing import Dict, Optional, Sequence
 
-from repro.lumscan.records import DatasetReader, ScanDataset, \
-    SegmentedScanDataset
-from repro.lumscan.serialize import (
-    dump_dataset_lshd,
-    dump_dataset_manifest,
-    load_dataset,
-)
-from repro.lumscan.shards import read_manifest
+from repro.lumscan.records import ScanDataset
+from repro.lumscan.serialize import dump_dataset_lshd, load_dataset
 from repro.run.codecs import decode_artifact, encode_artifact
 from repro.run.stage import KIND_DATASET, KIND_JSON, Stage
 
 #: Version of the on-disk checkpoint format (manifest + JSON envelopes).
 FORMAT_VERSION = 1
 
-#: Dataset codecs a store can write (suffix doubles as the format name).
-#: Loading always sniffs magic bytes, so checkpoints in any format —
-#: including pre-columnar ``.jsonl.gz`` ones — stay loadable.
-DATASET_FORMATS = ("lshd", "lshm")
+#: Suffix of the dataset files a store writes (LSHD columnar segments).
+#: Loading sniffs magic bytes, so pre-columnar ``.jsonl.gz`` checkpoints
+#: stay loadable.
+DATASET_SUFFIX = "lshd"
 
 #: Suffixes of the JSONL checkpoints older stores wrote; still loadable,
 #: and still removed by :meth:`ArtifactStore.invalidate`.
 LEGACY_DATASET_SUFFIXES = ("jsonl.gz", "jsonl")
+
+#: Suffix of the retired multi-segment manifest datasets.  A stage that
+#: lists one is incomplete; :meth:`ArtifactStore.invalidate` still
+#: removes it with its ``<stem>.seg-*.lshd`` segment files.
+RETIRED_MANIFEST_SUFFIX = "lshm"
 
 #: Dataclass field ``metadata`` marking a config field that changes how
 #: a stage executes but never what it outputs; fingerprints skip it.
@@ -124,29 +122,18 @@ class ArtifactStore:
     """Checkpoint directory for one study run.
 
     ``salt`` folds non-config stage inputs into every fingerprint (pass a
-    digest of e.g. an inherited registry); ``dataset_format`` selects the
-    dataset codec — ``"lshd"`` (the default) writes mmap-loadable
-    columnar segments, ``"lshm"`` writes manifest-backed multi-segment
-    datasets keyed by manifest fingerprint (a re-checkpoint of a logical
-    dataset that grew by one rescan segment reuses the existing segment
-    files and costs O(new rows)).  Loads sniff the actual bytes, so a
-    store reads checkpoints written under either format, and legacy
-    JSONL ones too.
+    digest of e.g. an inherited registry).  Datasets are written as
+    mmap-loadable LSHD columnar segments; loads sniff the actual bytes,
+    so legacy JSONL checkpoints load too.
     """
 
     def __init__(self, root: str, study: str, study_config: object,
-                 world_config: object, salt: str = "",
-                 dataset_format: str = "lshd") -> None:
-        if dataset_format not in DATASET_FORMATS:
-            raise ValueError(
-                f"dataset_format must be one of {DATASET_FORMATS}, "
-                f"got {dataset_format!r}")
+                 world_config: object, salt: str = "") -> None:
         self._dir = os.path.join(os.fspath(root), study)
         self._study = study
         self._study_config = study_config
         self._world_config = world_config
         self._salt = salt
-        self._dataset_format = dataset_format
 
     @property
     def directory(self) -> str:
@@ -164,7 +151,7 @@ class ArtifactStore:
         return os.path.join(self._dir, f"{stage}.manifest.json")
 
     def _artifact_file(self, stage: str, name: str, kind: str) -> str:
-        suffix = self._dataset_format if kind == KIND_DATASET else "json"
+        suffix = DATASET_SUFFIX if kind == KIND_DATASET else "json"
         return f"{stage}.{name}.{suffix}"
 
     def manifest(self, stage: Stage) -> Optional[Dict[str, object]]:
@@ -172,7 +159,8 @@ class ArtifactStore:
 
         Returns None when the manifest is missing, unreadable, written by
         a different format version, fingerprint-mismatched (stale configs),
-        missing a declared artifact, or missing an artifact file.
+        missing a declared artifact, missing an artifact file, or listing
+        a retired ``.lshm`` dataset.
         """
         path = self._manifest_path(stage.name)
         try:
@@ -189,6 +177,8 @@ class ArtifactStore:
         for spec in stage.outputs:
             entry = listed.get(spec.name)
             if entry is None or entry.get("kind") != spec.kind:
+                return None
+            if entry["file"].endswith("." + RETIRED_MANIFEST_SUFFIX):
                 return None
             if not os.path.exists(os.path.join(self._dir, entry["file"])):
                 return None
@@ -208,16 +198,11 @@ class ArtifactStore:
             entry: Dict[str, object] = {"name": spec.name, "kind": spec.kind,
                                         "file": filename}
             if spec.kind == KIND_DATASET:
-                if not isinstance(value, (ScanDataset, SegmentedScanDataset)):
+                if not isinstance(value, ScanDataset):
                     raise TypeError(
                         f"stage {stage.name!r} artifact {spec.name!r} "
                         f"declared as dataset but is {type(value).__name__}")
-                if self._dataset_format == "lshd":
-                    entry["records"] = dump_dataset_lshd(value, path)
-                else:
-                    entry["records"] = dump_dataset_manifest(value, path)
-                    entry["manifest_fingerprint"] = \
-                        read_manifest(path).fingerprint
+                entry["records"] = dump_dataset_lshd(value, path)
             else:
                 _atomic_write_json(path, {
                     "version": FORMAT_VERSION,
@@ -267,46 +252,26 @@ class ArtifactStore:
 
         ``remove_artifacts=True`` also unlinks the stages' artifact
         files, in any format a previous run may have written them; a
-        ``.lshm`` manifest takes its referenced segment files with it
-        (they are content-addressed per artifact, never shared across
-        stages).  A reader holding a mapped dataset keeps reading its
-        now-unlinked segments — POSIX keeps the pages alive until the
+        retired ``.lshm`` dataset takes its ``.seg-*.lshd`` segment files
+        with it.  A reader holding a mapped dataset keeps reading its
+        now-unlinked segment — POSIX keeps the pages alive until the
         mapping closes.
         """
         for stage in stages:
-            try:
-                os.remove(self._manifest_path(stage.name))
-            except OSError:
-                pass
-            if not remove_artifacts:
-                continue
-            for spec in stage.outputs:
-                suffixes = DATASET_FORMATS + LEGACY_DATASET_SUFFIXES \
-                    if spec.kind == KIND_DATASET else ("json",)
-                for suffix in suffixes:
-                    path = os.path.join(
-                        self._dir, f"{stage.name}.{spec.name}.{suffix}")
-                    if suffix == "lshm":
-                        self._remove_manifest_artifact(path)
+            paths = [self._manifest_path(stage.name)]
+            if remove_artifacts:
+                for spec in stage.outputs:
+                    stem = os.path.join(self._dir, f"{stage.name}.{spec.name}")
+                    if spec.kind != KIND_DATASET:
+                        paths.append(f"{stem}.json")
                         continue
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass
-
-    @staticmethod
-    def _remove_manifest_artifact(path: str) -> None:
-        """Unlink a ``.lshm`` artifact and every segment it references."""
-        try:
-            manifest = read_manifest(path)
-        except (OSError, ValueError):
-            return
-        for segment in manifest.segment_paths():
-            try:
-                os.remove(segment)
-            except OSError:
-                pass
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+                    paths.extend(f"{stem}.{suffix}" for suffix in
+                                 (DATASET_SUFFIX, RETIRED_MANIFEST_SUFFIX)
+                                 + LEGACY_DATASET_SUFFIXES)
+                    paths.extend(sorted(glob.glob(
+                        f"{glob.escape(stem)}.seg-*.{DATASET_SUFFIX}")))
+            for path in paths:
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, Optional, Sequence
 
-from repro.lumscan.records import ScanDataset, SegmentedScanDataset
+from repro.lumscan.records import ScanDataset
 from repro.run.artifacts import ArtifactStore
 from repro.run.stage import RunContext, Stage, StageStats
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -81,8 +81,7 @@ class StudyRunner:
                 cache_hit=cache_hit,
                 artifacts=len(stage.outputs),
                 records=sum(len(value) for value in outputs.values()
-                            if isinstance(value, (ScanDataset,
-                                                  SegmentedScanDataset))),
+                            if isinstance(value, ScanDataset)),
                 workers_spawned=init_after[0] - init_before[0],
                 worker_spawn_seconds=init_after[1] - init_before[1],
                 world_build_seconds=init_after[2] - init_before[2],

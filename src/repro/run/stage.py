@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Artifact kinds understood by the store.
-KIND_DATASET = "dataset"     # DatasetReader -> LSHD/LSHM (or legacy JSONL)
+KIND_DATASET = "dataset"     # ScanDataset -> LSHD (legacy JSONL still loads)
 KIND_JSON = "json"           # derived values -> versioned, tagged JSON
 
 

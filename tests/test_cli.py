@@ -42,32 +42,25 @@ class TestParser:
     def test_run_storage_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.merge == "memory"
-        assert args.checkpoint_format == "lshd"
+        assert not hasattr(args, "checkpoint_format")
 
     def test_merge_choice_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--merge", "tape"])
 
-    def test_checkpoint_format_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--checkpoint-format", "csv"])
-
     def test_store_inspect_requires_path(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "inspect"])
 
-    def test_checkpoint_format_accepts_lshm(self):
-        args = build_parser().parse_args(
-            ["run", "--checkpoint-format", "lshm"])
-        assert args.checkpoint_format == "lshm"
-
-    def test_store_append_requires_both_paths(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["store", "append", "only.lshm"])
-
-    def test_store_compact_requires_manifest(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["store", "compact"])
+    @pytest.mark.parametrize("argv", [
+        ["store", "append", "data.lshm", "part.lshd"],
+        ["store", "compact", "data.lshm"],
+    ], ids=["append", "compact"])
+    def test_removed_store_commands_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [
@@ -75,6 +68,8 @@ class TestParser:
     ["--world-source", "auto"],
     ["--exchange", "pickle"],
     ["--checkpoint-format", "jsonl.gz"],
+    ["--checkpoint-format", "lshd"],
+    ["--checkpoint-format", "lshm"],
 ], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
 class TestRemovedFlags:
     """Options whose modes are gone fail at parse time in both CLIs."""
@@ -93,11 +88,74 @@ class TestRemovedFlags:
         assert flags[0] in proc.stderr
 
 
+class TestRunFlagValidation:
+    """Out-of-range or inconsistent run flags are rejected, never clamped."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"],
+        ["--workers", "-2"],
+        ["--target-chunk-ms", "-5"],
+    ], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
+    def test_cli_rejects_out_of_range(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "nano", "run", "--no-top1m", "--no-vps",
+                  "--no-ooni", *flags])
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"],
+        ["--workers", "-2"],
+        ["--target-chunk-ms", "-5"],
+    ], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
+    def test_run_experiments_rejects_out_of_range(self, flags, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+             "--scale", "tiny", "--out", str(tmp_path / "report.md"),
+             *flags],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2
+        assert flags[0] in proc.stderr
+        assert not (tmp_path / "report.md").exists()
+
+    def test_boundary_values_accepted(self):
+        args = build_parser().parse_args(
+            ["run", "--workers", "1", "--target-chunk-ms", "0"])
+        assert (args.workers, args.target_chunk_ms) == (1, 0)
+
+    def test_resume_requires_checkpoint_dir(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "nano", "run", "--resume", "--no-top1m",
+                  "--no-vps", "--no-ooni"])
+        assert excinfo.value.code == 2
+        assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_top10k_command(self, capsys):
         assert main(["--scale", "nano", "top10k"]) == 0
         out = capsys.readouterr().out
         assert "confirmed instances:" in out
+
+    def test_top10k_uses_seed_for_study(self, capsys, monkeypatch):
+        import repro.cli as cli
+        from repro.core.pipeline import StudyConfig, run_top10k_study
+        from repro.websim.world import World, WorldConfig
+
+        seeds = []
+
+        def spy(world, *args, config=None, **kwargs):
+            seeds.append(None if config is None else config.seed)
+            return run_top10k_study(world, *args, config=config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_top10k_study", spy)
+        assert main(["--scale", "nano", "--seed", "3", "top10k"]) == 0
+        assert seeds == [3]
+        expected = run_top10k_study(World(WorldConfig.nano(seed=3)),
+                                    config=StudyConfig(seed=3))
+        out = capsys.readouterr().out
+        assert f"confirmed instances: {len(expected.confirmed)}\n" in out
 
     def test_table_command(self, capsys):
         assert main(["--scale", "nano", "table", "9"]) == 0
@@ -170,59 +228,3 @@ class TestStoreInspect:
         with pytest.raises(SystemExit):
             main(["store", "inspect", str(tmp_path / "nope.lshd")])
 
-
-class TestStoreManifestCommands:
-    def _segment(self, tmp_path, name="part.lshd"):
-        from repro.lumscan.records import ScanDataset
-        from repro.lumscan.serialize import dump_dataset_lshd
-
-        data = ScanDataset()
-        data.append("a.com", "US", 200, 9_000, None)
-        data.append("a.com", "IR", 403, 480, "<html>block</html>")
-        data.append("b.com", "SY", -1, 0, None, error="timeout")
-        path = str(tmp_path / name)
-        dump_dataset_lshd(data, path)
-        return path
-
-    def test_append_creates_and_grows_manifest(self, tmp_path, capsys):
-        manifest = str(tmp_path / "data.lshm")
-        segment = self._segment(tmp_path)
-        assert main(["store", "append", manifest, segment]) == 0
-        out = capsys.readouterr().out
-        assert "appended 3 rows" in out
-        assert "segments:    1" in out
-        assert main(["store", "append", manifest, segment]) == 0
-        out = capsys.readouterr().out
-        assert "rows:        6" in out
-        assert "segments:    2" in out
-
-    def test_inspect_prints_manifest_summary(self, tmp_path, capsys):
-        manifest = str(tmp_path / "data.lshm")
-        segment = self._segment(tmp_path)
-        main(["store", "append", manifest, segment])
-        capsys.readouterr()
-        assert main(["store", "inspect", manifest]) == 0
-        out = capsys.readouterr().out
-        assert f"manifest:    {manifest}" in out
-        assert "segments:    1" in out
-        assert ".seg-" in out
-
-    def test_compact_merges_to_one_segment(self, tmp_path, capsys):
-        manifest = str(tmp_path / "data.lshm")
-        segment = self._segment(tmp_path)
-        main(["store", "append", manifest, segment])
-        main(["store", "append", manifest, segment])
-        capsys.readouterr()
-        assert main(["store", "compact", manifest]) == 0
-        out = capsys.readouterr().out
-        assert "compacted 2 segments" in out
-        assert "rows:        6" in out
-
-    def test_append_rejects_missing_dataset(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "append", str(tmp_path / "data.lshm"),
-                  str(tmp_path / "nope.lshd")])
-
-    def test_compact_rejects_missing_manifest(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "compact", str(tmp_path / "nope.lshm")])

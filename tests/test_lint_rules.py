@@ -237,31 +237,6 @@ def test_iter_order_clean_when_sorted_or_order_free():
     assert findings == []
 
 
-def test_iter_order_flags_unsorted_dict_feeding_manifest_writer():
-    # The manifest writer is a serialization sink: feeding it entries
-    # built from unordered dict iteration would make manifest bytes (and
-    # the manifest fingerprint) depend on dict history.
-    findings = run_lint("""
-        from repro.lumscan.shards import write_manifest
-
-        def checkpoint(path, by_name):
-            entries = [entry for name, entry in by_name.items()]
-            return write_manifest(path, entries)
-    """)
-    assert rule_ids(findings) == ["iter-order"]
-
-
-def test_iter_order_clean_when_manifest_entries_are_ordered():
-    findings = run_lint("""
-        from repro.lumscan.shards import write_manifest
-
-        def checkpoint(path, by_name):
-            entries = [entry for name, entry in sorted(by_name.items())]
-            return write_manifest(path, entries)
-    """)
-    assert findings == []
-
-
 def test_iter_order_flags_unsorted_dict_feeding_shard_writer():
     # The shard codec is a serialization sink: unordered iteration into a
     # segment would make shard bytes depend on dict/set history.

@@ -210,6 +210,17 @@ class TestSniffing:
         finally:
             loaded.close()
 
+    def test_retired_lshm_manifest_rejected_by_name(self, tmp_path):
+        # Multi-segment LSHM manifests are no longer read: their magic is
+        # recognized so the error names the format instead of failing
+        # as malformed JSONL.
+        path = tmp_path / "scan.lshm"
+        path.write_bytes(b'LSHM{"rows":0,"segments":[],"version":1}')
+        assert sniff_format(path) == "lshm"
+        for mmap in (True, False):
+            with pytest.raises(ValueError, match="LSHM"):
+                load_dataset(path, mmap=mmap)
+
     def test_legacy_gzip_fixture_still_loads(self):
         # Frozen bytes from the pre-columnar gzip-JSONL writer: the
         # loader must keep reading checkpoints written before LSHD

@@ -113,29 +113,6 @@ class TestInvalidateWhileMapped:
             == [_dataset().row(i) for i in range(4)]
         assert reader.close() is True
 
-    def test_unlinked_manifest_and_segments_stay_readable(self, tmp_path):
-        # The lshm variant of the contract above: invalidating a
-        # manifest-backed checkpoint removes the manifest *and* every
-        # segment it references, yet a reader holding the mapped
-        # logical dataset keeps reading all of them.
-        store = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 1},
-                              dataset_format="lshm")
-        store.save_stage(_STAGE, {"initial": _dataset()})
-        reader = store.load_stage(_STAGE)["initial"]
-        assert reader.is_mapped
-
-        study_dir = tmp_path / "study"
-        segments = [p for p in os.listdir(study_dir) if p.endswith(".lshd")]
-        assert segments
-
-        store.invalidate([_STAGE], remove_artifacts=True)
-        assert not (study_dir / "scan.initial.lshm").exists()
-        for segment in segments:
-            assert not (study_dir / segment).exists()
-        assert [reader.row(i) for i in range(4)] \
-            == [_dataset().row(i) for i in range(4)]
-        assert reader.close() is True
-
     def test_rewrite_under_reader_does_not_corrupt_it(self, tmp_path):
         # save_stage replaces the segment via atomic rename; a reader
         # mapped to the old inode keeps seeing the old rows.

@@ -10,8 +10,6 @@ exactly and no skipped stage leaks shared-RNG state.
 from __future__ import annotations
 
 import dataclasses
-import os
-import shutil
 
 import pytest
 
@@ -22,9 +20,7 @@ from repro.core.pipeline import (
     top10k_stages,
     top1m_stages,
 )
-from repro.lumscan.records import ScanDataset, SegmentedScanDataset
-from repro.lumscan.serialize import dump_dataset, load_dataset
-from repro.lumscan.shards import append_segment
+from repro.lumscan.serialize import dump_dataset
 from repro.proxynet.luminati import LuminatiClient
 from repro.run import ArtifactStore
 from repro.websim.world import World, WorldConfig
@@ -106,80 +102,6 @@ class TestTop10KResume:
         names = [s.name for s in top10k_stages()]
         assert [s.stage for s in fresh.stage_stats] == names
         assert [s.stage for s in resumed.stage_stats] == names
-
-
-def _segment_checkpoint(path: str, k: int) -> None:
-    """Rewrite one LSHD dataset checkpoint as a ``k``-segment manifest.
-
-    Loads sniff magic bytes, so the manifest can live at the recorded
-    ``.lshd`` file name — the stage manifest.json needs no patching.
-    """
-    flat = load_dataset(path, mmap=False)
-    rows = [flat.row(i) for i in range(len(flat))]
-    os.remove(path)
-    bounds = [round(i * len(rows) / k) for i in range(k + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = ScanDataset()
-        for sample in rows[lo:hi]:
-            part.append(sample.domain, sample.country, sample.status,
-                        sample.length, sample.body, error=sample.error,
-                        interfered=sample.interfered)
-        append_segment(path, part.export_columns())
-
-
-class TestSegmentedResume:
-    """Resuming over a K-segment manifest checkpoint is bit-identical.
-
-    The acceptance criterion for manifest-backed logical datasets: every
-    kernel downstream of the initial scan must produce byte-identical
-    study outputs whether the checkpoint is one flat segment or a
-    manifest of K segments, for K in {1, 2, 7}.
-    """
-
-    @pytest.fixture(scope="class")
-    def fresh_run(self, tmp_path_factory):
-        root = str(tmp_path_factory.mktemp("fresh-ckpt"))
-        cfg = StudyConfig()
-        world = World(WorldConfig.nano())
-        fresh = run_top10k_study(world, LuminatiClient(world), cfg,
-                                 checkpoint_dir=root)
-        return fresh, root, cfg, world.config
-
-    @pytest.mark.parametrize("k", [1, 2, 7])
-    def test_resume_over_k_segments_identical(self, fresh_run, tmp_path, k):
-        fresh, root, cfg, world_config = fresh_run
-        ckpt = str(tmp_path / "ckpt")
-        shutil.copytree(root, ckpt)
-        dataset_path = os.path.join(ckpt, "top10k",
-                                    "initial-scan.initial.lshd")
-        _segment_checkpoint(dataset_path, k)
-        reloaded = load_dataset(dataset_path)
-        assert isinstance(reloaded, SegmentedScanDataset)
-        assert len(reloaded.parts) == k
-        reloaded.close()
-
-        store = ArtifactStore(ckpt, "top10k", cfg, world_config)
-        store.invalidate([s for s in top10k_stages()
-                          if s.name not in _COMPLETED])
-        world = World(WorldConfig.nano())
-        resumed = run_top10k_study(world, LuminatiClient(world), cfg,
-                                   checkpoint_dir=ckpt, resume=True)
-
-        assert resumed.representatives == fresh.representatives
-        assert resumed.outliers == fresh.outliers
-        assert resumed.clusters == fresh.clusters
-        assert list(resumed.registry) == list(fresh.registry)
-        assert resumed.candidates == fresh.candidates
-        assert resumed.confirmed == fresh.confirmed
-        assert resumed.other_page_counts == fresh.other_page_counts
-        for name in ("initial", "resampled"):
-            a = tmp_path / f"fresh.{name}.jsonl.gz"
-            b = tmp_path / f"resumed.{name}.jsonl.gz"
-            dump_dataset(getattr(fresh, name), a)
-            dump_dataset(getattr(resumed, name), b)
-            assert a.read_bytes() == b.read_bytes()
-        hits = {s.stage: s.cache_hit for s in resumed.stage_stats}
-        assert all(hits[name] for name in _COMPLETED)
 
 
 class TestTop1MResume:

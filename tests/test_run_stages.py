@@ -171,6 +171,32 @@ def _store(tmp_path, study_config=None, world_config=None) -> ArtifactStore:
                          world_config or {"n": 10})
 
 
+def _make_legacy_lshm(study) -> list:
+    """Rewrite the ``scan`` stage's dataset as a retired LSHM manifest.
+
+    Reproduces the layout older stores wrote: the LSHD segment under its
+    content-addressed ``<stem>.seg-<fingerprint>.lshd`` name, an
+    ``.lshm`` manifest beside it, and a stage manifest listing the
+    ``.lshm`` file.  Returns the two legacy dataset files.
+    """
+    from repro.lumscan.shards import read_segment_header
+
+    flat = study / "scan.initial.lshd"
+    fingerprint = read_segment_header(flat)["fingerprint"]
+    segment = study / f"scan.initial.seg-{fingerprint}.lshd"
+    flat.rename(segment)
+    manifest = study / "scan.initial.lshm"
+    manifest.write_bytes(b"LSHM" + json.dumps(
+        {"version": 1, "fingerprint": fingerprint, "rows": 3,
+         "segments": [[segment.name, 3, fingerprint]]},
+        sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    stage_manifest = study / "scan.manifest.json"
+    record = json.loads(stage_manifest.read_text())
+    record["artifacts"][0]["file"] = manifest.name
+    stage_manifest.write_text(json.dumps(record))
+    return [manifest, segment]
+
+
 class TestArtifactStore:
     def test_save_then_load_roundtrip(self, tmp_path):
         store = _store(tmp_path)
@@ -227,20 +253,40 @@ class TestArtifactStore:
             == [_dataset().row(i) for i in range(3)]
 
     def test_cross_format_resume(self, tmp_path):
-        # A store in one format reads checkpoints written under another:
-        # the manifest records the actual filename and loads sniff bytes.
-        old = ArtifactStore(str(tmp_path), "study", {"seed": 1}, {"n": 10},
-                            dataset_format="lshm")
-        old.save_stage(_STAGE, {"initial": _dataset(), "notes": ["n1"]})
-        assert (tmp_path / "study" / "scan.initial.lshm").exists()
-        new = _store(tmp_path)
-        assert new.manifest(_STAGE) is not None
-        loaded = new.load_stage(_STAGE)["initial"]
+        # A stage manifest that lists a retired .lshm dataset counts as
+        # incomplete: resume re-executes the stage (it does not crash
+        # trying to load the manifest) and writes an LSHD segment.
+        calls = []
+        stage = Stage("scan", _STAGE.outputs,
+                      lambda ctx: calls.append("scan") or
+                      {"initial": _dataset(), "notes": ["n1"]})
+        store = _store(tmp_path)
+        StudyRunner("study", [stage], store=store).run(_context())
+        _make_legacy_lshm(tmp_path / "study")
+        assert store.manifest(stage) is None
+
+        ctx = _context()
+        StudyRunner("study", [stage], store=store, resume=True).run(ctx)
+        assert calls == ["scan", "scan"]
+        assert [s.cache_hit for s in ctx.stats] == [False]
+        files = [entry["file"] for entry in store.manifest(stage)["artifacts"]]
+        assert files == ["scan.initial.lshd", "scan.notes.json"]
+        loaded = store.load_stage(stage)["initial"]
         try:
             assert [loaded.row(i) for i in range(3)] \
                 == [_dataset().row(i) for i in range(3)]
         finally:
             loaded.close()
+
+    def test_invalidate_removes_legacy_lshm_and_segments(self, tmp_path):
+        store = _store(tmp_path)
+        store.save_stage(_STAGE, {"initial": _dataset(), "notes": []})
+        study = tmp_path / "study"
+        legacy = _make_legacy_lshm(study)
+        assert all(path.exists() for path in legacy)
+        store.invalidate([_STAGE], remove_artifacts=True)
+        assert not any(path.exists() for path in legacy)
+        assert sorted(p.name for p in study.iterdir()) == []
 
     def test_legacy_jsonl_checkpoint_loads(self, tmp_path):
         # Stores no longer write JSONL, but a checkpoint an older store
@@ -261,12 +307,15 @@ class TestArtifactStore:
         store.invalidate([_STAGE], remove_artifacts=True)
         assert not (study / "scan.initial.jsonl.gz").exists()
 
-    def test_bad_dataset_format_rejected(self, tmp_path):
-        # Stores write only lshd/lshm; JSONL checkpoints still load.
-        for fmt in ("csv", "jsonl", "jsonl.gz"):
-            with pytest.raises(ValueError):
-                ArtifactStore(str(tmp_path), "study", {}, {},
-                              dataset_format=fmt)
+    def test_bad_dataset_format_rejected(self, nano_world):
+        # Checkpoints are LSHD only; the suite keeps the keyword for older
+        # callers but rejects any other format.
+        from repro.analysis.experiments import ExperimentSuite
+
+        ExperimentSuite(nano_world, checkpoint_format="lshd")
+        for fmt in ("lshm", "csv", "jsonl", "jsonl.gz"):
+            with pytest.raises(ValueError, match="checkpoint_format"):
+                ExperimentSuite(nano_world, checkpoint_format=fmt)
 
     def test_dataset_type_enforced(self, tmp_path):
         with pytest.raises(TypeError):
