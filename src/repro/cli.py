@@ -50,9 +50,7 @@ def _world(scale: str, seed: int) -> World:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     world = _world(args.scale, args.seed)
-    config = StudyConfig(seed=args.seed, workers=args.workers,
-                         exchange=args.exchange, merge=args.merge,
-                         target_chunk_ms=args.target_chunk_ms)
+    config = StudyConfig(seed=args.seed, workers=args.workers)
     suite = ExperimentSuite(world, study_config=config,
                             checkpoint_dir=args.checkpoint_dir,
                             resume=args.resume)
@@ -228,51 +226,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_world_freeze(args: argparse.Namespace) -> int:
-    from repro.websim.worldpack import write_worldpack_file
-
-    world = _world(args.scale, args.seed)
-    stopwatch = args.clock.stopwatch()
-    handle = write_worldpack_file(world, args.path)
-    elapsed = stopwatch.elapsed()
-    print(f"worldpack:   {args.path}")
-    print(f"scale:       {args.scale} ({len(world.population)} domains)")
-    print(f"seed:        {args.seed}")
-    print(f"file bytes:  {handle.nbytes}")
-    print(f"fingerprint: {handle.fingerprint}")
-    print(f"frozen in {elapsed:.1f}s")
-    return 0
-
-
-def _cmd_world_inspect(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.websim.worldpack import read_worldpack_header
-
-    path = args.path
-    try:
-        header = read_worldpack_header(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{path}: {exc}")
-    print(f"worldpack:   {path}")
-    print(f"version:     {header.get('version')}")
-    print(f"domains:     {header.get('size')}")
-    print(f"seed:        {header.get('seed')}")
-    print(f"file bytes:  {os.stat(path).st_size}")
-    print(f"fingerprint: {header.get('fingerprint')}")
-    print("sections:")
-    for section in header.get("sections", []):
-        name = section["name"]
-        if section.get("kind") == "array":
-            print(f"  {name:18s} {section['dtype']:4s} "
-                  f"offset={section['offset']:<10d} "
-                  f"bytes={section['nbytes']:<10d} rows={section['count']}")
-        else:
-            print(f"  {name:18s} json offset={section['offset']:<10d} "
-                  f"bytes={section['nbytes']}")
-    return 0
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     world = _world(args.scale, args.seed)
     suite = ExperimentSuite(world)
@@ -315,20 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scan-engine width: 1 probes inline, N > 1 runs "
                           "a pool of N processes; output is identical for "
                           "any count (default: 1)")
-    run.add_argument("--exchange", default="auto",
-                     choices=("auto", "shm", "file"),
-                     help="process-worker result transport: columnar shard "
-                          "segments in shared memory or spill files; 'auto' "
-                          "prefers shared memory (default: auto)")
-    run.add_argument("--merge", default="memory",
-                     choices=("memory", "spill"),
-                     help="process-merge sink: accumulate worker shards in "
-                          "RAM, or stream them to an on-disk LSHD segment "
-                          "and mmap the result (default: memory)")
-    run.add_argument("--target-chunk-ms", type=int_at_least(0), default=250,
-                     help="autotune process chunks toward this wall-time "
-                          "per chunk; 0 keeps a fixed chunk size "
-                          "(default: 250)")
     run.set_defaults(func=_cmd_run)
 
     top10k = sub.add_parser("top10k", help="run only the Top-10K study")
@@ -348,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     appdiff = sub.add_parser(
         "appdiff", help="survey commerce sites for feature/price differences")
-    appdiff.add_argument("--domains", type=int, default=60)
-    appdiff.add_argument("--countries", type=int, default=20)
+    appdiff.add_argument("--domains", type=int_at_least(1), default=60)
+    appdiff.add_argument("--countries", type=int_at_least(1), default=20)
     appdiff.set_defaults(func=_cmd_appdiff)
 
     timeouts = sub.add_parser(
         "timeouts", help="detect timeout-style geoblocking")
-    timeouts.add_argument("--domains", type=int, default=400)
+    timeouts.add_argument("--domains", type=int_at_least(1), default=400)
     timeouts.set_defaults(func=_cmd_timeouts)
 
     stability = sub.add_parser(
@@ -370,20 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "column buffers")
     inspect.add_argument("path", help="path to an .lshd segment file")
     inspect.set_defaults(func=_cmd_store_inspect)
-
-    world = sub.add_parser(
-        "world", help="freeze and inspect immutable world snapshots")
-    world_sub = world.add_subparsers(dest="world_command", required=True)
-    freeze = world_sub.add_parser(
-        "freeze", help="build the world once and write it as an LSHW "
-                       "worldpack file that workers can map zero-copy")
-    freeze.add_argument("path", help="destination .lshw worldpack file")
-    freeze.set_defaults(func=_cmd_world_freeze)
-    winspect = world_sub.add_parser(
-        "inspect", help="print an LSHW worldpack's header without mapping "
-                        "its section buffers")
-    winspect.add_argument("path", help="path to an .lshw worldpack file")
-    winspect.set_defaults(func=_cmd_world_inspect)
 
     lint = sub.add_parser(
         "lint", help="run the determinism/concurrency-purity linter",

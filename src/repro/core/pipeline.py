@@ -83,11 +83,12 @@ from repro.websim.world import World
 class StudyConfig:
     """Parameters of the measurement methodology (paper defaults).
 
-    The fields marked :data:`~repro.run.EXECUTION_ONLY` only shape the
-    scan engine (:func:`_build_engine`): output is byte-identical across
-    them, so stage fingerprints leave them out.  ``executor`` and
-    ``world_source`` select nothing: they accept only ``"process"`` (or
-    ``"thread"`` at ``workers=1``) and ``"auto"``.
+    The fields marked :data:`~repro.run.EXECUTION_ONLY` are left out of
+    stage fingerprints.  Only ``workers`` shapes the scan engine
+    (:func:`_build_engine`), and output is byte-identical at any width.
+    The others select nothing: ``executor`` accepts ``"process"`` (or
+    ``"thread"`` at ``workers=1``, checked by the engine), and the rest
+    accept only the default they show.
     """
 
     samples_initial: int = 3          # baseline samples per pair
@@ -104,20 +105,19 @@ class StudyConfig:
     # scan-engine pool width (1 = inline, >1 = process pool)
     workers: int = field(default=1, metadata=EXECUTION_ONLY)
     executor: str = field(default="process", metadata=EXECUTION_ONLY)
-    # worker→parent shard transport ("auto", "shm" or "file")
     exchange: str = field(default="auto", metadata=EXECUTION_ONLY)
-    # process-merge sink ("memory", or "spill" = on-disk)
     merge: str = field(default="memory", metadata=EXECUTION_ONLY)
-    # chunk autotune target (0 = fixed chunk size)
     target_chunk_ms: int = field(default=250, metadata=EXECUTION_ONLY)
     world_source: str = field(default="auto", metadata=EXECUTION_ONLY)
 
     def __post_init__(self) -> None:
-        if self.world_source != "auto":
-            raise ValueError(
-                f"world_source must be 'auto' (workers map a frozen "
-                f"worldpack, or rebuild when freezing fails), got "
-                f"{self.world_source!r}")
+        for name, only in (("exchange", "auto"), ("merge", "memory"),
+                           ("target_chunk_ms", 250),
+                           ("world_source", "auto")):
+            value = getattr(self, name)
+            if value != only:
+                raise ValueError(f"{name} selects nothing and accepts "
+                                 f"only {only!r}, got {value!r}")
 
 
 def registry_salt(registry: Optional[FingerprintRegistry]) -> str:
@@ -148,16 +148,14 @@ def _build_engine(scanner: Lumscan, cfg: StudyConfig,
                   store: Optional[ArtifactStore]) -> ScanEngine:
     """The scan engine for ``cfg``; every engine a study builds comes here.
 
-    When the study checkpoints, file-mode shard segments live inside the
-    checkpoint directory (one ``lshd-*`` session dir per scan, removed on
-    exchange close) so large spills land on the same volume the operator
-    provisioned for run state rather than in the system temp dir.
+    When the study checkpoints, the pool's file-backed state (``lshd-*``
+    shard sessions and ``worldpack-*`` files, used where POSIX shared
+    memory is missing and removed when each scan ends) lives inside the
+    checkpoint directory, on the volume the operator provisioned for run
+    state rather than in the system temp dir.
     """
-    target = cfg.target_chunk_ms / 1000.0 if cfg.target_chunk_ms else None
     return ScanEngine(scanner, workers=cfg.workers, executor=cfg.executor,
-                      exchange=cfg.exchange, merge=cfg.merge,
-                      spill_dir=store.directory if store else None,
-                      target_chunk_seconds=target)
+                      spill_dir=store.directory if store else None)
 
 
 # ===================================================================== #

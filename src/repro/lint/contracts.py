@@ -6,7 +6,7 @@ the acquiring function.  The dataflow engine interprets contracts; it has
 no built-in knowledge of any codec.  Three contract kinds exist:
 
 * :class:`ResourceContract` — acquire/release pairing for a closeable
-  handle (shard exchange, worldpack, spill builder, shm block, mmap).
+  handle (shard exchange, worldpack, shm block, mmap).
 * :class:`BufferContract` — a mapped buffer whose derived views (numpy
   arrays over the mapping) must not outlive ``close()``.
 * :class:`AtomicContract` — checkpoint/manifest suffixes that may only be
@@ -89,10 +89,6 @@ DEFAULT_CONTRACTS: Tuple[object, ...] = (
         name="segment-mapping", codec="shards",
         acquire=("SegmentMapping",),
         release_methods=("close",)),
-    ResourceContract(
-        name="spill-builder", codec="shards",
-        acquire=("SpillDatasetBuilder",),
-        release_methods=("finalize", "abort", "_cleanup")),
     # --- websim.worldpack ------------------------------------------ #
     ResourceContract(
         name="worldpack", codec="worldpack",

@@ -130,8 +130,8 @@ RULES: Tuple[Rule, ...] = (
         severity=SEVERITY_ERROR,
         summary="acquired handle not released on every path",
         rationale=(
-            "Shard exchanges, worldpacks, spill builders, segment "
-            "mappings, shm blocks, and mmaps are acquired under a "
+            "Shard exchanges, worldpacks, segment mappings, shm "
+            "blocks, and mmaps are acquired under a "
             "contract (repro.lint.contracts): every path from the "
             "acquisition to the function exit must release the handle "
             "or transfer ownership (return it, store it on self, pass "
@@ -164,20 +164,20 @@ RULES: Tuple[Rule, ...] = (
         rationale=(
             "A release placed after raise-capable calls executes only "
             "when nothing raised: a worker crash or decode error skips "
-            "it and the handle (and its shm segment or spill "
+            "it and the handle (and its shm segment or session "
             "directory) outlives the run.  The release must be "
             "exception-safe: inside a finally block, a with-block, or "
             "an except/BaseException cleanup that re-raises."
         ),
         example=(
-            "def merge(spec, payloads):\n"
-            "    exchange = ShardExchange(mode=spec.mode).open()\n"
+            "def merge(spill_dir, payloads):\n"
+            "    exchange = ShardExchange(spill_dir).open()\n"
             "    merge_all(exchange, payloads)  # <- may raise\n"
             "    exchange.close()               # <- skipped on raise"
         ),
         fix=(
             "Move the release into a finally block:\n"
-            "    exchange = ShardExchange(mode=spec.mode).open()\n"
+            "    exchange = ShardExchange(spill_dir).open()\n"
             "    try:\n"
             "        merge_all(exchange, payloads)\n"
             "    finally:\n"

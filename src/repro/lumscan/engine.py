@@ -28,24 +28,20 @@ carved from the canonical task order.  Three mechanisms keep the
 process pool's merge path off the critical path:
 
 * **Columnar shard exchange**: workers serialize chunk results into flat
-  binary segments (:mod:`repro.lumscan.shards` — shared-memory blocks or
-  mmap-able spill files) and return only a tiny handle; the parent maps
-  each segment and bulk-extends with zero row decode.
+  binary segments (:mod:`repro.lumscan.shards` — shared-memory blocks,
+  or mmap-able spill files where the platform has no POSIX shared
+  memory) and return only a tiny handle; the parent maps each segment
+  and bulk-extends its dataset with zero row decode.
 * **Streaming merge**: chunk results are consumed *as they complete*
   (``FIRST_COMPLETED`` waits plus a :class:`ChunkReorderBuffer` that
   restores chunk-sequence order), so the parent never barriers on the
   pool and holds at most a bounded window of unmerged shards — parent
   memory stays flat.  Because merges still happen in sequence order,
   the merged bytes are identical to serial for any completion order.
-  With ``merge="spill"`` the merge appends shards to a
-  :class:`~repro.lumscan.shards.SpillDatasetBuilder` instead of an
-  in-RAM dataset, and the finished result comes back as a zero-copy
-  mapped dataset over one on-disk segment — the merged parent result
-  never needs to fit in memory, and its bytes are identical to the
-  in-memory merge.
 * **Latency-driven chunk autotuning**: a :class:`ChunkAutotuner` sizes
-  the next chunk from the observed probes/s so each chunk lands near a
-  target wall-time (amortizing dispatch without starving the stream).
+  the next chunk from the observed probes/s so each chunk lands near
+  :data:`DEFAULT_TARGET_CHUNK_SECONDS` of wall time (amortizing dispatch
+  without starving the stream).
   Timing flows through the injectable :class:`repro.util.clock.Clock`,
   so tests drive it deterministically — and chunk boundaries never
   affect output bytes in the first place.
@@ -63,11 +59,9 @@ logger = logging.getLogger("repro.lumscan.engine")
 
 from repro.lumscan.records import NO_RESPONSE, ScanDataset
 from repro.lumscan.shards import (
-    EXCHANGE_MODES,
     ExchangeSpec,
     ShardExchange,
     ShardHandle,
-    SpillDatasetBuilder,
     open_shard,
     release_shard,
     write_shard,
@@ -81,15 +75,11 @@ from repro.util.memory import rss_bytes
 #: :class:`ChunkAutotuner`).
 DEFAULT_CHUNK_SIZE = 64
 
-#: Valid ``ScanEngine(merge=...)`` values: hold the merged dataset in
-#: parent RAM, or stream it into an on-disk segment and map it back.
-MERGES = ("memory", "spill")
-
 #: Outstanding chunks per worker: enough that a worker finishing early
 #: always has a queued chunk, small enough to bound unmerged backlog.
 PIPELINE_DEPTH = 2
 
-#: Default autotuning target: wall-time one chunk should take.
+#: Autotuning target: wall-time one chunk should take.
 DEFAULT_TARGET_CHUNK_SECONDS = 0.25
 
 #: Monotonic ids for stat-absorption tokens (see absorb_worker_counts).
@@ -241,23 +231,20 @@ class ChunkAutotuner:
     deterministic, and chunk boundaries never affect output bytes.
     """
 
-    def __init__(self, initial: int,
-                 target_seconds: Optional[float] = None,
+    def __init__(self, initial: int, target_seconds: float,
                  min_size: int = 8, max_size: int = 8192,
                  smoothing: float = 0.5) -> None:
         if initial < 1:
             raise ValueError(f"initial chunk size must be >= 1, got {initial}")
+        if not target_seconds > 0.0:
+            raise ValueError(
+                f"target_seconds must be > 0, got {target_seconds}")
         self._size = initial
-        self._target = float(target_seconds or 0.0)
+        self._target = float(target_seconds)
         self._min = min_size
         self._max = max_size
         self._smoothing = smoothing
         self._rate: Optional[float] = None
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a target is set (no target = fixed chunk size)."""
-        return self._target > 0.0
 
     @property
     def rate(self) -> Optional[float]:
@@ -270,7 +257,7 @@ class ChunkAutotuner:
 
     def record(self, tasks: int, elapsed: float) -> None:
         """Fold in one completed chunk's observed latency."""
-        if not self.enabled or tasks <= 0 or elapsed <= 0.0:
+        if tasks <= 0 or elapsed <= 0.0:
             return
         rate = tasks / elapsed
         self._rate = rate if self._rate is None else (
@@ -355,13 +342,12 @@ class ScanEngine:
     pool; ``workers>1`` runs the process pool.  Both are byte-identical
     by construction.
 
-    ``exchange`` picks the shard transport (``"auto"``, ``"shm"`` or
-    ``"file"``).  ``merge="spill"`` routes the process pool's streaming
-    merge through a :class:`SpillDatasetBuilder`: ``scan``/``resample``
-    then return a *new* mapped dataset (the caller-passed ``dataset``, if
-    any, seeds the builder but is not mutated), with records identical
-    to the in-memory merge.  Runs that take the inline shortcut
-    (``workers=1`` or a single task) still merge in memory.
+    ``spill_dir`` is where the process pool keeps file-backed state: the
+    shard-exchange session and the frozen worldpack land there when the
+    platform offers no POSIX shared memory (both are removed when the
+    scan ends).  ``clock`` times chunks for the autotuner; a
+    :class:`~repro.util.clock.ManualClock` reports zero elapsed time, so
+    chunks keep ``chunk_size``.
 
     ``executor`` selects nothing: it is accepted for older callers as
     ``"process"`` at any width, or ``"thread"`` at ``workers=1`` (which
@@ -371,11 +357,7 @@ class ScanEngine:
     def __init__(self, scanner, workers: int = 1,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  executor: str = "process",
-                 exchange: str = "auto",
-                 merge: str = "memory",
                  spill_dir: Optional[str] = None,
-                 target_chunk_seconds: Optional[float] =
-                 DEFAULT_TARGET_CHUNK_SECONDS,
                  clock: Optional[Clock] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -386,19 +368,10 @@ class ScanEngine:
             raise ValueError(
                 f"executor must be 'process' (or 'thread' at workers=1), "
                 f"got {executor!r} with workers={workers}")
-        if exchange not in EXCHANGE_MODES:
-            raise ValueError(
-                f"exchange must be one of {EXCHANGE_MODES}, got {exchange!r}")
-        if merge not in MERGES:
-            raise ValueError(
-                f"merge must be one of {MERGES}, got {merge!r}")
-        self._merge = merge
         self._scanner = scanner
         self._workers = workers
         self._chunk_size = chunk_size
-        self._exchange = exchange
         self._spill_dir = spill_dir
-        self._target_chunk_seconds = target_chunk_seconds
         self._clock = clock if clock is not None else SYSTEM_CLOCK
 
     @property
@@ -456,32 +429,22 @@ class ScanEngine:
         if pack is not None:
             spec = replace(spec, world_source=pack.handle)
         tuner = ChunkAutotuner(initial=self._chunk_size,
-                               target_seconds=self._target_chunk_seconds)
+                               target_seconds=DEFAULT_TARGET_CHUNK_SECONDS)
         buffer = ChunkReorderBuffer()
         pending: Dict[object, int] = {}   # future -> chunk sequence number
-        merger: Optional[SpillDatasetBuilder] = None
         requests = fetches = 0
         spawned = pack_loads = 0
         spawn_seconds = build_seconds = 0.0
         rss_peak = 0
         cursor = 0
         seq = 0
-        logger.debug("engine: %d tasks over %d process workers "
-                     "(exchange=%s, merge=%s, autotune=%s, world=%s)",
-                     len(tasks), self._workers, self._exchange, self._merge,
-                     tuner.enabled,
-                     "pack" if pack is not None else "rebuild")
-        exchange = ShardExchange(self._exchange, spill_dir=self._spill_dir)
+        exchange = ShardExchange(spill_dir=self._spill_dir)
         try:
+            logger.debug("engine: %d tasks over %d process workers "
+                         "(exchange=%s, world=%s)",
+                         len(tasks), self._workers, exchange.mode,
+                         "pack" if pack is not None else "rebuild")
             exchange_spec = exchange.open().spec()
-            if self._merge == "spill":
-                # The builder owns its own directory under spill_dir —
-                # never the exchange session dir, which is removed
-                # wholesale when the exchange closes.
-                merger = SpillDatasetBuilder(directory=self._spill_dir)
-                if len(data):
-                    merger.extend_columns(data.export_columns())
-            sink = data if merger is None else merger
             with ProcessPoolExecutor(
                     max_workers=self._workers,
                     initializer=_process_worker_init,
@@ -528,12 +491,9 @@ class ScanEngine:
                         submit_next()
                     for payload, request_delta, fetch_delta in \
                             buffer.pop_ready():
-                        self._merge_payload(sink, payload)
+                        self._merge_payload(data, payload)
                         requests += request_delta
                         fetches += fetch_delta
-            if merger is not None:
-                data = merger.finalize()
-                merger = None
         finally:
             # Error path: nothing below may leak a segment.  Unmerged
             # buffered shards, plus shards from futures that completed
@@ -554,18 +514,14 @@ class ScanEngine:
                     release_shard(result[1])
             finally:
                 try:
-                    if merger is not None:
-                        merger.abort()
+                    exchange.close()
                 finally:
-                    try:
-                        exchange.close()
-                    finally:
-                        if pack is not None:
-                            # The parent owns the pack's backing
-                            # storage: release it on every path —
-                            # including worker-crash-during-init — so no
-                            # shm block or spill file outlives the pool.
-                            pack.release()
+                    if pack is not None:
+                        # The parent owns the pack's backing storage:
+                        # release it on every path — including
+                        # worker-crash-during-init — so no shm block or
+                        # spill file outlives the pool.
+                        pack.release()
         scanner.absorb_worker_counts(
             requests, fetches,
             token=f"engine-batch-{next(_ABSORB_BATCH_IDS)}",
@@ -589,20 +545,15 @@ class ScanEngine:
         try:
             return freeze(directory=self._spill_dir)
         except OSError:
-            logger.debug("world freeze failed; workers will rebuild",
+            logger.debug("worldpack freeze failed; workers will rebuild",
                          exc_info=True)
             return None
 
     @staticmethod
-    def _merge_payload(sink, payload: ShardHandle) -> None:
-        """Fold one chunk's shard into the merge sink, then release it.
-
-        ``sink`` is the parent :class:`ScanDataset` (memory merge) or a
-        :class:`SpillDatasetBuilder` (spill merge) — both consume
-        bundles through the same ``extend_columns`` contract.
-        """
+    def _merge_payload(data: ScanDataset, payload: ShardHandle) -> None:
+        """Extend the parent dataset with one chunk's shard, then release it."""
         try:
             with open_shard(payload) as reader:
-                sink.extend_columns(reader.columns)
+                data.extend_columns(reader.columns)
         finally:
             release_shard(payload)

@@ -239,15 +239,13 @@ class Lumscan:
             world_source=world_source,
         )
 
-    def freeze_world_pack(self, mode: str = "auto",
-                          directory: Optional[str] = None) -> WorldPack:
+    def freeze_world_pack(self, directory: Optional[str] = None) -> WorldPack:
         """Freeze this scanner's world for zero-copy worker mapping.
 
         The caller owns the returned pack and must ``release()`` it once
         the pool is done (the engine does this in its ``finally``).
         """
-        return freeze_world(self._luminati.world, mode=mode,
-                            directory=directory)
+        return freeze_world(self._luminati.world, directory=directory)
 
     def worker_counts(self) -> Tuple[int, int]:
         """(requests, fetches) served so far — delta source for workers."""

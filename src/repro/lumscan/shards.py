@@ -5,8 +5,9 @@ to the parent would pay per-row serialization cost in the worker *and*
 the parent, on the merge path that every probe funnels through.  The
 process pool instead exchanges flat binary **shard segments**: a worker
 serializes its trimmed int-coded columns (raw numpy buffers plus JSON
-code tables) into a `multiprocessing.shared_memory` block or an
-mmap-able spill file, and returns only a tiny picklable
+code tables) into a `multiprocessing.shared_memory` block — or, where
+POSIX shared memory is missing (:func:`shm_available`), an mmap-able
+spill file — and returns only a tiny picklable
 :class:`ShardHandle`.  The parent maps the
 segment, rebuilds :class:`~repro.lumscan.records.ShardColumns` views
 directly over the mapped bytes (``np.frombuffer`` — no row decode, no
@@ -48,10 +49,8 @@ unlinks each segment after merging it — or, on error paths, via
 Beyond the worker exchange, the same format is the repo's **checkpoint
 and analytics substrate**: :func:`write_segment_file` persists a whole
 dataset as one fingerprinted segment (atomic rename, bit-deterministic),
-:class:`SegmentMapping` + :meth:`ScanDataset.from_columns` open it back
-as a zero-copy mapped dataset, and :class:`SpillDatasetBuilder` merges
-worker shards straight into an on-disk segment so a merged result never
-needs to fit in parent RAM.
+and :class:`SegmentMapping` + :meth:`ScanDataset.from_columns` open it
+back as a zero-copy mapped dataset.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.lumscan.records import NO_ERROR, ScanDataset, ShardColumns
+from repro.lumscan.records import ShardColumns
 
 MAGIC = b"LSHD"
 FORMAT_VERSION = 1
@@ -93,9 +92,6 @@ JSON_SECTIONS: Tuple[str, ...] = (
 KIND_SHM = "shm"
 KIND_FILE = "file"
 
-#: Valid ``ShardExchange(mode=...)`` values ("auto" resolves at open).
-EXCHANGE_MODES = ("auto", KIND_SHM, KIND_FILE)
-
 #: Resource-lifetime contract enforced by ``repro.lint`` (flow-sensitive
 #: acquire/release pairing, buffer-escape, and atomic-write rules).  A
 #: pure literal: the linter parses it with ``ast.literal_eval`` and
@@ -114,9 +110,6 @@ LINT_RESOURCE_CONTRACT = {
         {"name": "segment-mapping",
          "acquire": ["SegmentMapping"],
          "release_methods": ["close"]},
-        {"name": "spill-builder",
-         "acquire": ["SpillDatasetBuilder"],
-         "release_methods": ["finalize", "abort", "_cleanup"]},
     ],
     "buffers": [
         {"name": "segment-mapping",
@@ -150,7 +143,7 @@ class ShardHandle:
 class ExchangeSpec:
     """Picklable recipe telling worker processes where to write shards."""
 
-    mode: str          # KIND_SHM or KIND_FILE (already resolved, not "auto")
+    mode: str          # KIND_SHM or KIND_FILE
     directory: str     # spill session directory (empty for shared memory)
 
 
@@ -178,9 +171,8 @@ def _combine_digests(digests: List[bytes]) -> str:
     """Fold per-section digests into the segment fingerprint.
 
     The fingerprint hashes the sections' *digests* (in payload order)
-    rather than the raw bytes so the sequential writer and the streaming
-    :class:`SpillDatasetBuilder` — which only ever sees one chunk of a
-    column at a time — arrive at the same value.
+    rather than the raw bytes, so a writer can digest each section as it
+    is produced; the worldpack writer folds its sections the same way.
     """
     outer = hashlib.blake2b(digest_size=FINGERPRINT_BYTES)
     for digest in digests:
@@ -474,30 +466,21 @@ def release_shard(handle: ShardHandle) -> None:
         pass
 
 
-def resolve_mode(mode: str) -> str:
-    """Resolve an exchange mode ("auto" prefers shared memory)."""
-    if mode not in EXCHANGE_MODES:
-        raise ValueError(f"exchange mode must be one of {EXCHANGE_MODES}, "
-                         f"got {mode!r}")
-    if mode == "auto":
-        return KIND_SHM if shm_available() else KIND_FILE
-    return mode
-
-
 class ShardExchange:
     """Parent-side transport session for one engine execution.
 
-    Owns the spill session directory (file mode) and guarantees that
-    closing the session removes every segment the session directory
-    still holds — the engine's error paths lean on this so a mid-scan
-    exception cannot orphan spill files under the checkpoint dir.
-    Shared-memory segments have no directory; the engine releases those
-    per handle.  Usable as a context manager.
+    The transport is shared memory wherever :func:`shm_available` says
+    POSIX shared memory works, and spill files otherwise.  In file mode
+    the session owns a spill directory under ``spill_dir`` and closing
+    the session removes every segment that directory still holds — the
+    engine's error paths lean on this so a mid-scan exception cannot
+    orphan spill files under the checkpoint dir.  Shared-memory segments
+    have no directory; the engine releases those per handle.  Usable as
+    a context manager.
     """
 
-    def __init__(self, mode: str = "auto",
-                 spill_dir: Optional[str] = None) -> None:
-        self._mode = resolve_mode(mode)
+    def __init__(self, spill_dir: Optional[str] = None) -> None:
+        self._mode = KIND_SHM if shm_available() else KIND_FILE
         self._spill_parent = spill_dir
         self._dir: Optional[str] = None
 
@@ -542,8 +525,7 @@ class SegmentMapping:
     """Read-only mmap over a whole segment file (dataset-lifetime owner).
 
     :class:`ShardReader` owns short merge-scoped mappings; this class
-    backs long-lived mapped datasets (checkpoint loads, spill-merge
-    results).  ``close()`` is best-effort: the file descriptor always
+    backs long-lived mapped datasets (checkpoint loads).  ``close()`` is best-effort: the file descriptor always
     closes, but the mapping itself survives while numpy column views
     still alias it — ``close()`` then returns False and the OS reclaims
     the pages when the last view is garbage-collected.  A mapping over
@@ -592,207 +574,3 @@ class SegmentMapping:
                 # our reference hands reclamation to their collection.
                 return False
         return True
-
-
-class SpillDatasetBuilder:
-    """Streaming merge of column bundles into one on-disk segment.
-
-    The spill-backed counterpart of :meth:`ScanDataset.extend_columns`
-    for merged results that must not live in parent RAM: each
-    ``extend_columns`` call remaps the bundle's categorical codes
-    through the builder's global tables (identical first-seen interning,
-    so the finished segment is bit-identical to an in-memory merge
-    followed by :func:`write_segment_file`) and appends the remapped row
-    columns to per-column spill files.  ``finalize()`` stitches the
-    spill files into one fingerprinted segment and returns it as a
-    zero-copy mapped :class:`~repro.lumscan.records.ScanDataset`.  Only
-    the sparse side tables (retained bodies, interfered rows) are held
-    in memory — at paper scale a few percent of the rows.
-    """
-
-    def __init__(self, directory: Optional[str] = None) -> None:
-        base = directory or tempfile.gettempdir()
-        os.makedirs(base, exist_ok=True)
-        self._dir = tempfile.mkdtemp(prefix="lshd-merge-", dir=base)
-        self._n = 0
-        self._files: Dict[str, object] = {}
-        self._digests: Dict[str, object] = {}
-        for name, _ in COLUMN_DTYPES:
-            self._files[name] = open(
-                os.path.join(self._dir, f"{name}.col"), "wb")
-            self._digests[name] = hashlib.blake2b(
-                digest_size=FINGERPRINT_BYTES)
-        self._domain_code: Dict[str, int] = {}
-        self._domain_names: List[str] = []
-        self._country_code: Dict[str, int] = {}
-        self._country_names: List[str] = []
-        self._error_code: Dict[str, int] = {}
-        self._error_names: List[str] = []
-        self._bodies: Dict[int, str] = {}
-        self._interfered: set = set()
-        self._closed = False
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def directory(self) -> str:
-        """The builder's private spill directory (removed on finalize)."""
-        return self._dir
-
-    @staticmethod
-    def _intern(code_of: Dict[str, int], names: List[str], value: str) -> int:
-        code = code_of.get(value)
-        if code is None:
-            code = len(names)
-            code_of[value] = code
-            names.append(value)
-        return code
-
-    def extend_columns(self, cols: ShardColumns) -> None:
-        """Append all rows of a bundle (``ScanDataset.extend_columns``'s
-        contract: first-seen interning in append order, bulk column
-        copies, side tables rebased by row offset)."""
-        if self._closed:
-            raise ValueError("spill builder is finalized or aborted")
-        m = cols.n
-        if m == 0:
-            return
-        offset = self._n
-        dmap = np.fromiter(
-            (self._intern(self._domain_code, self._domain_names, name)
-             for name in cols.domain_names),
-            dtype=np.int32, count=len(cols.domain_names))
-        cmap = np.fromiter(
-            (self._intern(self._country_code, self._country_names, name)
-             for name in cols.country_names),
-            dtype=np.int32, count=len(cols.country_names))
-        ecodes = cols.ecodes[:m]
-        if len(cols.error_names):
-            emap = np.fromiter(
-                (self._intern(self._error_code, self._error_names, name)
-                 for name in cols.error_names),
-                dtype=np.int16, count=len(cols.error_names))
-            ecodes = np.where(ecodes == NO_ERROR, np.int16(NO_ERROR),
-                              emap[np.maximum(ecodes, 0)])
-        remapped = {
-            "dcodes": dmap[cols.dcodes[:m]],
-            "ccodes": cmap[cols.ccodes[:m]],
-            "statuses": cols.statuses[:m],
-            "lengths": cols.lengths[:m],
-            "ecodes": ecodes,
-        }
-        for name, dtype in COLUMN_DTYPES:
-            blob = np.ascontiguousarray(
-                remapped[name], dtype=np.dtype(dtype)).tobytes()
-            self._files[name].write(blob)
-            self._digests[name].update(blob)
-        for idx, body in cols.bodies.items():
-            self._bodies[offset + int(idx)] = body
-        if cols.interfered:
-            self._interfered.update(offset + int(idx)
-                                    for idx in cols.interfered)
-        self._n = offset + m
-
-    def finalize(self, path: Optional[str] = None) -> ScanDataset:
-        """Write the final segment and return it as a mapped dataset.
-
-        ``path`` places the segment at a caller-owned location (where it
-        survives the returned dataset's ``close()``); by default the
-        segment is unlinked right after mapping, so its disk space is
-        reclaimed when the dataset and any outstanding views die.
-        """
-        if self._closed:
-            raise ValueError("spill builder is finalized or aborted")
-        self._closed = True
-        column_meta = []
-        digests = []
-        offset = 0
-        for name, dtype in COLUMN_DTYPES:
-            self._files[name].close()
-            nbytes = os.path.getsize(os.path.join(self._dir, f"{name}.col"))
-            column_meta.append([name, dtype, offset, nbytes])
-            digests.append(self._digests[name].digest())
-            offset += _pad(nbytes)
-        sections = {
-            "domains": list(self._domain_names),
-            "countries": list(self._country_names),
-            "errors": list(self._error_names),
-            "bodies": [[int(row), body]
-                       for row, body in sorted(self._bodies.items())],
-            "interfered": sorted(int(row) for row in self._interfered),
-        }
-        json_meta = []
-        json_blobs = []
-        for name in JSON_SECTIONS:
-            blob = json.dumps(sections[name], ensure_ascii=False,
-                              separators=(",", ":")).encode("utf-8")
-            json_meta.append([name, offset, len(blob)])
-            json_blobs.append(blob)
-            digests.append(hashlib.blake2b(
-                blob, digest_size=FINGERPRINT_BYTES).digest())
-            offset += _pad(len(blob))
-        header = {
-            "version": FORMAT_VERSION,
-            "n": int(self._n),
-            "columns": column_meta,
-            "json": json_meta,
-            "fingerprint": _combine_digests(digests),
-        }
-        header_bytes = json.dumps(header, sort_keys=True,
-                                  separators=(",", ":")).encode("utf-8")
-        base = payload_base(header_bytes)
-        target = os.fspath(path) if path is not None else \
-            os.path.join(self._dir, "merged.seg")
-        tmp = f"{target}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as out:
-                out.write(MAGIC)
-                out.write(len(header_bytes).to_bytes(4, "little"))
-                out.write(header_bytes)
-                out.write(b"\x00" * (base - len(MAGIC) - 4
-                                     - len(header_bytes)))
-                for name, _, _, nbytes in column_meta:
-                    with open(os.path.join(self._dir, f"{name}.col"),
-                              "rb") as col:
-                        shutil.copyfileobj(col, out, 1 << 20)
-                    out.write(b"\x00" * (_pad(nbytes) - nbytes))
-                for (name, _, nbytes), blob in zip(json_meta, json_blobs):
-                    out.write(blob)
-                    out.write(b"\x00" * (_pad(nbytes) - nbytes))
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            self._cleanup()
-            raise
-        mapping = SegmentMapping(target)
-        try:
-            if path is None:
-                # POSIX: the mapped pages outlive the directory entry, so
-                # the transient merge segment frees itself with the
-                # dataset.
-                os.remove(target)
-            self._cleanup()
-            columns = decode_shard(mapping.buffer)
-        except BaseException:
-            mapping.close()
-            raise
-        return ScanDataset.from_columns(columns, source=mapping)
-
-    def abort(self) -> None:
-        """Discard everything without writing a segment (error paths)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._cleanup()
-
-    def _cleanup(self) -> None:
-        for name, _ in COLUMN_DTYPES:
-            handle = self._files[name]
-            if not handle.closed:
-                handle.close()
-        shutil.rmtree(self._dir, ignore_errors=True)
-

@@ -13,9 +13,10 @@ optional salt for non-config inputs (e.g. the fingerprint registry a
 Top-1M run inherits from Top-10K discovery).  A checkpoint is only reused
 when its fingerprint matches the requesting run exactly — change any
 methodology knob, world parameter, or seed and every stage re-executes.
-Config fields marked :data:`EXECUTION_ONLY` (worker count, exchange,
-merge sink, ...) are left out: they change how a stage runs, never
-what it outputs, so a run resumed at another ``--workers`` still hits.
+Config fields marked :data:`EXECUTION_ONLY` (the worker count, plus
+fields kept for older callers that select nothing) are left out: they
+never change what a stage outputs, so a run resumed at another
+``--workers`` still hits.
 
 Crash safety is ordering + atomicity: artifact files are written first
 (each atomically, via temp + ``os.replace``), the manifest last.  A stage

@@ -24,10 +24,11 @@ initialized on load, so probe outcomes are bit-identical to a worker
 that rebuilt its world from the spec (the equivalence suite in
 ``tests/test_worldpack.py`` holds both paths to the same bytes).
 
-Transports mirror the shard exchange: ``shm`` (zero-copy across the
-pool; the parent owns the unlink) and ``file`` (mmap-able, also the
-persistent form behind ``repro-geoblock world freeze``).  A worker that
-cannot map the pack falls back to the spec rebuild — the pack is an
+The transport follows the shard exchange: the pack lives in shared
+memory (zero-copy across the pool; the parent owns the unlink) wherever
+:func:`~repro.lumscan.shards.shm_available` says POSIX shared memory
+works, and in an mmap-able temp file otherwise.  A worker that cannot
+map the pack falls back to the spec rebuild — the pack is an
 optimization, never a correctness dependency.
 """
 
@@ -43,12 +44,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.lumscan import shards
 from repro.lumscan.shards import (
     FINGERPRINT_BYTES,
     _combine_digests,
     _pad,
     _unregister_shm,
-    shm_available,
 )
 from repro.netsim.dns import DNSServer
 from repro.netsim.geoip import GeoIPDatabase
@@ -63,9 +64,6 @@ FORMAT_VERSION = 1
 #: Pack transport kinds (mirrors the shard exchange's surface).
 KIND_SHM = "shm"
 KIND_FILE = "file"
-
-#: Valid ``freeze_world(mode=...)`` values.
-FREEZE_MODES = ("auto", "shm", "file")
 
 #: Resource-lifetime contract enforced by ``repro.lint``.  A pure
 #: literal merged into the linter's contract registry; keep in sync with
@@ -531,16 +529,6 @@ class WorldPackReader:
         self.close()
 
 
-def read_worldpack_header(path: str) -> dict:
-    """Header of an LSHW file (O(header), for ``world inspect``)."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path} is not a worldpack (bad magic)")
-        header_len = int.from_bytes(handle.read(4), "little")
-        return json.loads(handle.read(header_len))
-
-
 class WorldPack:
     """Parent-side owner of one frozen pack's backing storage.
 
@@ -577,19 +565,19 @@ class WorldPack:
         self.release()
 
 
-def freeze_world(world: World, mode: str = "auto",
+def freeze_world(world: World,
                  directory: Optional[str] = None) -> WorldPack:
     """Freeze a built world for the process pool; returns the owner.
 
-    ``mode="shm"`` forces shared memory, ``"file"`` a temp file under
-    ``directory`` (or the system temp dir), ``"auto"`` prefers shm and
-    falls back to a file when no shm is usable.
+    The pack goes to shared memory when it is usable, and otherwise to a
+    temp file under ``directory`` (or the system temp dir).
     """
-    if mode not in FREEZE_MODES:
-        raise ValueError(
-            f"mode must be one of {FREEZE_MODES}, got {mode!r}")
-    if mode == "shm" or (mode == "auto" and shm_available()):
+    # Looked up on the module, so the shard exchange and the pack share
+    # one platform check (tests patch it to reach the file path).
+    if shards.shm_available():
         return WorldPack(write_worldpack_shm(world))
+    if directory is not None:
+        os.makedirs(directory, exist_ok=True)
     fd, path = tempfile.mkstemp(suffix=".lshw", dir=directory,
                                 prefix="worldpack-")
     os.close(fd)

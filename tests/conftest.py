@@ -48,3 +48,16 @@ def nano_top10k(nano_world):
 def tiny_top10k(tiny_world):
     """A full Top-10K study over the tiny world (read-only)."""
     return run_top10k_study(tiny_world)
+
+
+@pytest.fixture
+def no_shm(monkeypatch):
+    """Act as a platform without POSIX shared memory.
+
+    The shard exchange and the worldpack both choose their transport
+    through ``shm_available``; patching it sends both to spill files, the
+    only path that runs where shared memory is missing.
+    """
+    import repro.lumscan.shards as shards
+
+    monkeypatch.setattr(shards, "shm_available", lambda: False)

@@ -61,22 +61,20 @@ class TestSuiteEngines:
         real_init = ScanEngine.__init__
 
         def recording_init(self, scanner, **kwargs):
-            received.append((kwargs.get("workers"), kwargs.get("exchange"),
-                             kwargs.get("merge"),
-                             kwargs.get("target_chunk_seconds")))
+            received.append((kwargs.get("workers"), kwargs.get("executor"),
+                             sorted(kwargs)))
             real_init(self, scanner, **kwargs)
 
         monkeypatch.setattr(ScanEngine, "__init__", recording_init)
         config = StudyConfig(seed=nano_world.config.seed, workers=2,
-                             executor="process", exchange="file",
-                             merge="spill",
-                             target_chunk_ms=40)
+                             executor="process", exchange="auto",
+                             merge="memory", target_chunk_ms=250)
         report = ExperimentSuite(nano_world, study_config=config).run(
             include_top1m=False, include_vps=False, include_ooni=False,
             pool_pairs=4, pool_samples=10, cf_rule_zones=2_000)
         assert "figure1" in report.figures      # the pool engine ran
-        assert len(received) == 3
-        assert set(received) == {(2, "file", "spill", 0.04)}
+        assert received == [
+            (2, "process", ["executor", "spill_dir", "workers"])] * 3
 
 
 class TestReportRendering:

@@ -41,12 +41,10 @@ class TestParser:
 
     def test_run_storage_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.merge == "memory"
-        assert not hasattr(args, "checkpoint_format")
-
-    def test_merge_choice_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--merge", "tape"])
+        assert args.checkpoint_dir is None
+        for name in ("checkpoint_format", "exchange", "merge",
+                     "target_chunk_ms"):
+            assert not hasattr(args, name)
 
     def test_store_inspect_requires_path(self):
         with pytest.raises(SystemExit):
@@ -63,20 +61,33 @@ class TestParser:
         assert "invalid choice" in capsys.readouterr().err
 
 
+def _removed_id(flags):
+    if flags[0].startswith("--"):
+        return flags[0].lstrip("-") + "=" + flags[1]
+    return "-".join(flags[:2])
+
+
 @pytest.mark.parametrize("flags", [
     ["--executor", "process"],
     ["--world-source", "auto"],
     ["--exchange", "pickle"],
+    ["--exchange", "auto"],
+    ["--merge", "memory"],
+    ["--target-chunk-ms", "250"],
     ["--checkpoint-format", "jsonl.gz"],
     ["--checkpoint-format", "lshd"],
     ["--checkpoint-format", "lshm"],
-], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
+    ["world", "freeze", "world.lshw"],
+    ["world", "inspect", "world.lshw"],
+], ids=_removed_id)
 class TestRemovedFlags:
-    """Options whose modes are gone fail at parse time in both CLIs."""
+    """Options and commands that are gone fail at parse time in both CLIs."""
 
     def test_cli_rejects(self, flags):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", *flags])
+        argv = ["run", *flags] if flags[0].startswith("--") else flags
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
     def test_run_experiments_rejects(self, flags):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -94,7 +105,6 @@ class TestRunFlagValidation:
     @pytest.mark.parametrize("flags", [
         ["--workers", "0"],
         ["--workers", "-2"],
-        ["--target-chunk-ms", "-5"],
     ], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
     def test_cli_rejects_out_of_range(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -106,7 +116,6 @@ class TestRunFlagValidation:
     @pytest.mark.parametrize("flags", [
         ["--workers", "0"],
         ["--workers", "-2"],
-        ["--target-chunk-ms", "-5"],
     ], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
     def test_run_experiments_rejects_out_of_range(self, flags, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -120,9 +129,8 @@ class TestRunFlagValidation:
         assert not (tmp_path / "report.md").exists()
 
     def test_boundary_values_accepted(self):
-        args = build_parser().parse_args(
-            ["run", "--workers", "1", "--target-chunk-ms", "0"])
-        assert (args.workers, args.target_chunk_ms) == (1, 0)
+        args = build_parser().parse_args(["run", "--workers", "1"])
+        assert args.workers == 1
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -130,6 +138,30 @@ class TestRunFlagValidation:
                   "--no-vps", "--no-ooni"])
         assert excinfo.value.code == 2
         assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+
+
+class TestCountFlagValidation:
+    """A negative count would slice from the end of a list; reject it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["timeouts", "--domains", "-1"],
+        ["timeouts", "--domains", "0"],
+        ["appdiff", "--domains", "-1"],
+        ["appdiff", "--countries", "-3"],
+        ["appdiff", "--countries", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+    def test_non_positive_count_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "nano", *argv])
+        assert excinfo.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+    def test_smallest_count_accepted(self):
+        parser = build_parser()
+        assert parser.parse_args(["timeouts", "--domains", "1"]).domains == 1
+        args = parser.parse_args(
+            ["appdiff", "--domains", "1", "--countries", "1"])
+        assert (args.domains, args.countries) == (1, 1)
 
 
 class TestCommands:

@@ -7,7 +7,9 @@ scan (pinned record by record in ``test_lumscan_engine.py``), and the
 parent scanner's request/fetch counters account for all worker traffic.
 The shard exchange adds two more: the merged bytes stay identical under
 any chunk completion order, and no shard segment outlives the scan — not
-even when a worker blows up mid-run.
+even when a worker blows up mid-run.  Both hold for the shared-memory
+transport and for the spill-file fallback (reached with the ``no_shm``
+fixture, which makes ``shm_available`` report False).
 """
 
 import os
@@ -23,6 +25,7 @@ from repro.lumscan.scanner import Lumscan, ScannerSpec
 from repro.lumscan.serialize import dump_dataset
 from repro.lumscan.shards import shm_available
 from repro.proxynet.luminati import LuminatiClient
+from repro.util.clock import ManualClock
 
 
 def _rows(data):
@@ -59,6 +62,17 @@ class TestExecutorValidation:
         with pytest.raises(ValueError, match="executor"):
             ScanEngine(Lumscan(nano_luminati, seed=3), workers=2,
                        executor="thread")
+
+    @pytest.mark.parametrize("option", [
+        {"merge": "memory"},
+        {"merge": "spill"},
+        {"target_chunk_seconds": 0.25},
+    ], ids=lambda option: "=".join(map(str, *option.items())))
+    def test_removed_engine_options_rejected(self, nano_luminati, option):
+        # The merge always extends the parent dataset in memory and the
+        # chunk target is a constant; neither is an option any more.
+        with pytest.raises(TypeError, match=next(iter(option))):
+            ScanEngine(Lumscan(nano_luminati, seed=3), workers=2, **option)
 
     def test_non_spawnable_scanner_rejected(self):
         engine = ScanEngine(_InlineOnlyScanner(), workers=2, chunk_size=2)
@@ -189,17 +203,17 @@ def _exploding_run_chunk(seq, chunk):
     return _REAL_RUN_CHUNK(seq, chunk)
 
 
-def _exchanges():
-    modes = ["file"]
-    if shm_available():
-        modes.insert(0, "shm")
-    return modes
+def _leftovers(root):
+    return [os.path.join(dirpath, name)
+            for dirpath, dirs, files in os.walk(root)
+            for name in list(dirs) + list(files)]
 
 
 class TestShardExchange:
     def test_unknown_exchange_rejected(self, nano_luminati):
-        for mode in ("carrier", "pickle"):
-            with pytest.raises(ValueError, match="exchange"):
+        # The transport follows shm_available(); no spelling selects it.
+        for mode in ("auto", "shm", "file", "pickle"):
+            with pytest.raises(TypeError, match="exchange"):
                 ScanEngine(Lumscan(nano_luminati, seed=3), workers=2,
                            exchange=mode)
 
@@ -211,14 +225,32 @@ class TestShardExchange:
         data = Lumscan(client, seed=11).scan(urls, countries, samples=3)
         return urls, countries, data
 
-    @pytest.mark.parametrize("exchange", _exchanges())
+    @pytest.mark.parametrize("exchange", [
+        pytest.param("shm", marks=pytest.mark.skipif(
+            not shm_available(), reason="POSIX shared memory unavailable")),
+        "file",
+    ])
     def test_every_exchange_is_byte_identical_to_serial(
-            self, nano_world, serial, tmp_path, exchange):
+            self, nano_world, serial, tmp_path, monkeypatch, request,
+            exchange):
         urls, countries, expected = serial
+        if exchange == "file":
+            request.getfixturevalue("no_shm")
+        kinds = set()
+        real_merge = ScanEngine._merge_payload
+
+        def recording_merge(data, payload):
+            kinds.add(payload.kind)
+            real_merge(data, payload)
+
+        monkeypatch.setattr(ScanEngine, "_merge_payload",
+                            staticmethod(recording_merge))
+        spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=16,
-                            exchange=exchange, spill_dir=str(tmp_path))
+                            workers=2, chunk_size=16, spill_dir=str(spill))
         data = engine.scan(urls, countries, samples=3)
+        assert kinds == {exchange}
+        assert _leftovers(spill) == []
         assert _encoded(data, tmp_path, exchange) == \
             _encoded(expected, tmp_path, "serial")
 
@@ -231,31 +263,28 @@ class TestShardExchange:
                             _inverted_run_chunk)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=3, chunk_size=24,
-                            spill_dir=str(tmp_path),
-                            target_chunk_seconds=None)
+                            spill_dir=str(tmp_path), clock=ManualClock())
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, "inverted") == \
             _encoded(expected, tmp_path, "serial")
 
     def test_worker_failure_leaves_no_segments(self, nano_world, serial,
-                                               tmp_path, monkeypatch):
+                                               tmp_path, monkeypatch,
+                                               no_shm):
         # A worker exception mid-scan must release every shard already
         # written — buffered, in flight, or still on disk — and remove
-        # the spill session directory under the checkpoint dir.
+        # the spill session directory and the worldpack file under the
+        # checkpoint dir.
         urls, countries, _ = serial
         monkeypatch.setattr(engine_mod, "_process_run_chunk",
                             _exploding_run_chunk)
         spill = tmp_path / "ckpt"
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
                             workers=2, chunk_size=8,
-                            exchange="file", spill_dir=str(spill),
-                            target_chunk_seconds=None)
+                            spill_dir=str(spill), clock=ManualClock())
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
-        leftovers = [os.path.join(root, name)
-                     for root, dirs, files in os.walk(spill)
-                     for name in list(dirs) + list(files)]
-        assert leftovers == []
+        assert _leftovers(spill) == []
 
     @pytest.mark.skipif(not shm_available(),
                         reason="POSIX shared memory unavailable")
@@ -266,8 +295,7 @@ class TestShardExchange:
         monkeypatch.setattr(engine_mod, "_process_run_chunk",
                             _exploding_run_chunk)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8,
-                            exchange="shm", target_chunk_seconds=None)
+                            workers=2, chunk_size=8, clock=ManualClock())
         with pytest.raises(RuntimeError, match="chunk 2 exploded"):
             engine.scan(urls, countries, samples=3)
         assert set(os.listdir("/dev/shm")) - before == set()
@@ -278,90 +306,10 @@ class TestShardExchange:
         # to run — and must never leak into the output bytes.
         urls, countries, expected = serial
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8,
-                            target_chunk_seconds=0.05)
+                            workers=2, chunk_size=8)
         data = engine.scan(urls, countries, samples=3)
         assert _encoded(data, tmp_path, "tuned") == \
             _encoded(expected, tmp_path, "serial")
-
-
-class TestSpillMerge:
-    @pytest.fixture(scope="class")
-    def serial(self, nano_world):
-        client = LuminatiClient(nano_world)
-        urls = _clean_urls(nano_world, 14)
-        countries = client.countries()[:4]
-        data = Lumscan(client, seed=11).scan(urls, countries, samples=3)
-        return urls, countries, data
-
-    def test_spill_merge_byte_identical_to_serial(self, nano_world, serial,
-                                                  tmp_path):
-        # The spill-backed merge streams worker shards to disk instead of
-        # RAM; the mapped result must still serialize byte-for-byte like
-        # a serial scan.
-        urls, countries, expected = serial
-        engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=16,
-                            merge="spill", spill_dir=str(tmp_path))
-        data = engine.scan(urls, countries, samples=3)
-        try:
-            assert data.is_mapped
-            assert _rows(data) == _rows(expected)
-            assert _encoded(data, tmp_path, "spill") == \
-                _encoded(expected, tmp_path, "serial")
-        finally:
-            data.close()
-
-    def test_spill_leaves_no_files_behind(self, nano_world, serial,
-                                          tmp_path):
-        urls, countries, _ = serial
-        spill = tmp_path / "ckpt"
-        engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=16,
-                            merge="spill", spill_dir=str(spill))
-        data = engine.scan(urls, countries, samples=3)
-        try:
-            # The transient segment is unlinked once mapped, so nothing
-            # survives under the spill root even while the dataset lives.
-            leftovers = [os.path.join(root, name)
-                         for root, dirs, files in os.walk(spill)
-                         for name in list(dirs) + list(files)]
-            assert leftovers == []
-            assert len(data) == len(serial[2])
-        finally:
-            data.close()
-
-    def test_spill_worker_failure_cleans_up(self, nano_world, serial,
-                                            tmp_path, monkeypatch):
-        urls, countries, _ = serial
-        monkeypatch.setattr(engine_mod, "_process_run_chunk",
-                            _exploding_run_chunk)
-        spill = tmp_path / "ckpt"
-        engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8,
-                            exchange="file", merge="spill",
-                            spill_dir=str(spill),
-                            target_chunk_seconds=None)
-        with pytest.raises(RuntimeError, match="chunk 2 exploded"):
-            engine.scan(urls, countries, samples=3)
-        leftovers = [os.path.join(root, name)
-                     for root, dirs, files in os.walk(spill)
-                     for name in list(dirs) + list(files)]
-        assert leftovers == []
-
-    def test_spill_requires_process_executor(self, nano_world, serial):
-        # The spill builder backs only the process pool's streaming
-        # merge; a workers=1 run takes the inline path and stays in RAM.
-        urls, countries, expected = serial
-        engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            merge="spill")
-        data = engine.scan(urls, countries, samples=3)
-        assert not data.is_mapped
-        assert _rows(data) == _rows(expected)
-
-    def test_unknown_merge_rejected(self, nano_luminati):
-        with pytest.raises(ValueError, match="merge must be"):
-            ScanEngine(Lumscan(nano_luminati, seed=3), merge="tape")
 
 
 class TestAbsorptionTokens:
@@ -421,8 +369,7 @@ class TestWorldpackInitCleanup:
         monkeypatch.setattr(engine_mod, "_process_worker_init",
                             _exploding_worker_init)
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8,
-                            exchange="shm", target_chunk_seconds=None)
+                            workers=2, chunk_size=8, clock=ManualClock())
         with pytest.raises(Exception) as excinfo:
             engine.scan(urls, ["US", "IR"], samples=2)
         assert "process" in type(excinfo.value).__name__.lower() \
@@ -435,7 +382,6 @@ class TestWorldpackInitCleanup:
         urls = _clean_urls(nano_world, 10)
         before = set(os.listdir("/dev/shm"))
         engine = ScanEngine(Lumscan(LuminatiClient(nano_world), seed=11),
-                            workers=2, chunk_size=8,
-                            exchange="shm", target_chunk_seconds=None)
+                            workers=2, chunk_size=8, clock=ManualClock())
         engine.scan(urls, ["US", "IR"], samples=2)
         assert set(os.listdir("/dev/shm")) - before == set()

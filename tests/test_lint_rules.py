@@ -757,18 +757,18 @@ def test_resource_leak_flags_module_release_func_on_one_path_only():
 
 def test_resource_leak_respects_none_guard_correlation():
     findings = run_lint("""
-        from repro.lumscan.shards import SpillDatasetBuilder
+        from repro.lumscan.shards import ShardExchange
 
-        def f(spill, payload):
-            merger = None
+        def f(spill, payloads):
+            exchange = None
             if spill:
-                merger = SpillDatasetBuilder(directory=spill)
+                exchange = ShardExchange(spill_dir=spill)
             try:
-                if merger is not None:
-                    merger.extend_columns(payload)
+                if exchange is not None:
+                    merge_all(exchange.open().spec(), payloads)
             finally:
-                if merger is not None:
-                    merger.abort()
+                if exchange is not None:
+                    exchange.close()
     """)
     assert rule_ids(findings) == []
 

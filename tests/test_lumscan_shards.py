@@ -5,7 +5,7 @@ decode round-trips (file and shared memory), deterministic segment
 bytes, handle release and exchange-session cleanup, plus unit tests for
 the :class:`ChunkReorderBuffer` (out-of-order reassembly, duplicate
 rejection) and the :class:`ChunkAutotuner` (latency-driven sizing,
-clamps, disabled mode).
+clamps, required target).
 """
 
 import os
@@ -20,14 +20,12 @@ from repro.lumscan.shards import (
     ExchangeSpec,
     SegmentMapping,
     ShardExchange,
-    SpillDatasetBuilder,
     decode_shard,
     encode_shard,
     open_shard,
     payload_base,
     read_segment_header,
     release_shard,
-    resolve_mode,
     shm_available,
     write_segment_file,
     write_shard,
@@ -160,8 +158,9 @@ class TestHandleLifecycle:
 
 
 class TestShardExchange:
-    def test_file_session_directory_lifecycle(self, tmp_path):
-        exchange = ShardExchange("file", spill_dir=str(tmp_path))
+    def test_file_session_directory_lifecycle(self, tmp_path, no_shm):
+        exchange = ShardExchange(spill_dir=str(tmp_path))
+        assert exchange.mode == KIND_FILE
         with exchange:
             session = exchange.directory
             assert session is not None and os.path.isdir(session)
@@ -173,15 +172,19 @@ class TestShardExchange:
         # still inside it — the engine's error paths rely on this.
         assert not os.path.exists(session)
 
-    def test_spec_before_open_raises(self):
+    def test_spec_before_open_raises(self, no_shm):
         with pytest.raises(RuntimeError):
-            ShardExchange("file").spec()
+            ShardExchange().spec()
 
-    def test_auto_resolves_to_concrete_kind(self):
-        assert resolve_mode("auto") in (KIND_SHM, KIND_FILE)
-        assert resolve_mode("file") == KIND_FILE
-        with pytest.raises(ValueError):
-            resolve_mode("pigeon")
+    def test_auto_resolves_to_concrete_kind(self, monkeypatch):
+        # shm_available() alone picks the transport: shared memory where
+        # the platform has it, spill files where it does not.
+        import repro.lumscan.shards as shards
+
+        expected = KIND_SHM if shm_available() else KIND_FILE
+        assert ShardExchange().mode == expected
+        monkeypatch.setattr(shards, "shm_available", lambda: False)
+        assert ShardExchange().mode == KIND_FILE
 
 
 class TestSegmentFile:
@@ -274,69 +277,6 @@ class TestSegmentMapping:
         assert mapping.close() is True
 
 
-class TestSpillDatasetBuilder:
-    def test_bit_identical_to_in_memory_merge(self, tmp_path):
-        # The streaming builder's segment must equal the sequential
-        # writer's for the same merged rows — the spill merge's core
-        # correctness invariant.
-        shard_a = _sample_dataset()
-        shard_b = ScanDataset()
-        shard_b.append("delta.example", "RU", 451, 77, "<html>legal</html>")
-        shard_b.append("alpha.example", "CN", 200, 55, None)
-
-        merged = ScanDataset()
-        merged.extend_columns(shard_a.export_columns())
-        merged.extend_columns(shard_b.export_columns())
-        reference = str(tmp_path / "reference.lshd")
-        write_segment_file(merged.export_columns(), reference)
-
-        builder = SpillDatasetBuilder(directory=str(tmp_path))
-        builder.extend_columns(shard_a.export_columns())
-        builder.extend_columns(shard_b.export_columns())
-        assert len(builder) == len(merged)
-        streamed = str(tmp_path / "streamed.lshd")
-        data = builder.finalize(streamed)
-        try:
-            with open(reference, "rb") as fh:
-                ref_blob = fh.read()
-            with open(streamed, "rb") as fh:
-                spill_blob = fh.read()
-            assert spill_blob == ref_blob
-            assert data.is_mapped
-            assert _rows(data) == _rows(merged)
-        finally:
-            data.close()
-
-    def test_transient_finalize_unlinks_segment(self, tmp_path):
-        builder = SpillDatasetBuilder(directory=str(tmp_path))
-        builder.extend_columns(_sample_dataset().export_columns())
-        data = builder.finalize()
-        try:
-            # The anonymous segment is unlinked immediately (POSIX keeps
-            # the pages alive), so nothing lingers in the spill dir.
-            assert os.listdir(tmp_path) == []
-            assert _rows(data) == _rows(_sample_dataset())
-        finally:
-            data.close()
-
-    def test_empty_builder_finalizes(self, tmp_path):
-        builder = SpillDatasetBuilder(directory=str(tmp_path))
-        data = builder.finalize()
-        try:
-            assert len(data) == 0
-        finally:
-            data.close()
-
-    def test_abort_removes_spill_directory(self, tmp_path):
-        builder = SpillDatasetBuilder(directory=str(tmp_path))
-        builder.extend_columns(_sample_dataset().export_columns())
-        spill = builder.directory
-        assert os.path.isdir(spill)
-        builder.abort()
-        assert not os.path.exists(spill)
-        builder.abort()  # idempotent
-
-
 class TestChunkReorderBuffer:
     def test_reverse_completion_order_reassembles(self):
         buffer = ChunkReorderBuffer()
@@ -374,12 +314,6 @@ class TestChunkReorderBuffer:
 
 
 class TestChunkAutotuner:
-    def test_disabled_without_target(self):
-        tuner = ChunkAutotuner(64, target_seconds=None)
-        assert not tuner.enabled
-        tuner.record(64, 10.0)
-        assert tuner.chunk_size() == 64
-
     def test_grows_toward_target(self):
         # 1000 probes/s at a 0.25s target wants ~250-task chunks, but
         # growth is clamped to doubling per observation.
@@ -427,3 +361,12 @@ class TestChunkAutotuner:
     def test_rejects_bad_initial(self):
         with pytest.raises(ValueError):
             ChunkAutotuner(0, target_seconds=0.25)
+
+    def test_requires_positive_target(self):
+        # There is no fixed-size mode: tests that need fixed chunks feed
+        # zero elapsed times (a ManualClock) instead.
+        with pytest.raises(TypeError):
+            ChunkAutotuner(64)
+        for target in (0, 0.0, -0.25):
+            with pytest.raises(ValueError, match="target_seconds"):
+                ChunkAutotuner(64, target_seconds=target)

@@ -162,8 +162,8 @@ class TestCheckpointInvalidation:
         fresh = run_top10k_study(world, config=StudyConfig(),
                                  checkpoint_dir=root)
 
-        wider = StudyConfig(workers=2, exchange="file", merge="spill",
-                            target_chunk_ms=0)
+        wider = StudyConfig(workers=2, executor="process", exchange="auto",
+                            merge="memory", target_chunk_ms=250)
         world2 = World(WorldConfig.nano())
         result = run_top10k_study(world2, config=wider,
                                   checkpoint_dir=root, resume=True)

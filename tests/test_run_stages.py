@@ -144,12 +144,28 @@ class TestFingerprint:
 
         base = key(StudyConfig(seed=1))
         assert key(StudyConfig(seed=1, workers=2, executor="process",
-                               exchange="file", merge="spill",
-                               target_chunk_ms=0,
+                               exchange="auto", merge="memory",
+                               target_chunk_ms=250,
                                world_source="auto")) == base
         assert key(StudyConfig(seed=1, executor="thread")) == base
         assert key(StudyConfig(seed=2)) != base
         assert key(StudyConfig(seed=1, samples_confirm=19)) != base
+
+    @pytest.mark.parametrize("field,value", [
+        ("exchange", "file"),
+        ("exchange", "shm"),
+        ("merge", "spill"),
+        ("target_chunk_ms", 0),
+        ("target_chunk_ms", 100),
+    ])
+    def test_inert_engine_fields_accept_only_their_default(self, field,
+                                                           value):
+        # Kept only so older callers that spell out the defaults still
+        # build a config; anything else would be silently ignored.
+        from repro.core.pipeline import StudyConfig
+
+        with pytest.raises(ValueError, match=field):
+            StudyConfig(**{field: value})
 
 
 def _dataset() -> ScanDataset:

@@ -15,10 +15,14 @@ layer:
    workers map the pack or rebuild from the spec, at any worker count;
 4. the fallback, release, and tamper paths fail safe: a worker that
    cannot map the pack rebuilds, a released pack raises, a fingerprint
-   mismatch is rejected.
+   mismatch is rejected;
+5. both transports work: shared memory where ``shm_available`` says so,
+   and a temp file (forced with the ``no_shm`` fixture) where it does
+   not.
 """
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -32,11 +36,10 @@ from repro.lumscan.shards import shm_available
 from repro.proxynet.luminati import LuminatiClient
 from repro.websim.world import World, WorldConfig
 from repro.websim.worldpack import (
-    FREEZE_MODES,
+    MAGIC,
     WorldPackReader,
     freeze_world,
     load_world,
-    read_worldpack_header,
     write_worldpack_file,
 )
 
@@ -240,25 +243,30 @@ class TestFallbackAndRelease:
             WorldPackReader(forged)
 
     def test_unknown_freeze_mode_rejected(self, built_world):
-        assert FREEZE_MODES == ("auto", "shm", "file")
-        with pytest.raises(ValueError, match="mode"):
-            freeze_world(built_world, mode="tape")
+        # The transport follows shm_available(); no mode selects it.
+        for mode in ("auto", "shm", "file", "tape"):
+            with pytest.raises(TypeError, match="mode"):
+                freeze_world(built_world, mode=mode)
+            with pytest.raises(TypeError, match="mode"):
+                Lumscan(LuminatiClient(built_world),
+                        seed=11).freeze_world_pack(mode=mode)
 
 
 class TestFileTransport:
-    def test_file_pack_loads_identically(self, built_world, tmp_path):
-        frozen = freeze_world(built_world, mode="file",
-                              directory=str(tmp_path))
+    def test_file_pack_loads_identically(self, built_world, tmp_path,
+                                         no_shm):
+        frozen = freeze_world(built_world, directory=str(tmp_path))
         try:
+            assert frozen.handle.kind == "file"
+            assert os.path.dirname(frozen.handle.ref) == str(tmp_path)
             loaded = load_world(frozen.handle)
             assert list(loaded.population) == list(built_world.population)
             assert loaded.policies == built_world.policies
         finally:
             frozen.release()
 
-    def test_release_unlinks_file(self, built_world, tmp_path):
-        frozen = freeze_world(built_world, mode="file",
-                              directory=str(tmp_path))
+    def test_release_unlinks_file(self, built_world, tmp_path, no_shm):
+        frozen = freeze_world(built_world, directory=str(tmp_path))
         path = frozen.handle.ref
         assert os.path.exists(path)
         frozen.release()
@@ -268,7 +276,8 @@ class TestFileTransport:
                         reason="POSIX shared memory unavailable")
     def test_shm_release_unlinks_segment(self, built_world):
         before = set(os.listdir("/dev/shm"))
-        frozen = freeze_world(built_world, mode="shm")
+        frozen = freeze_world(built_world)
+        assert frozen.handle.kind == "shm"
         assert set(os.listdir("/dev/shm")) - before != set()
         frozen.release()
         assert set(os.listdir("/dev/shm")) - before == set()
@@ -277,7 +286,11 @@ class TestFileTransport:
                                                 tmp_path):
         path = str(tmp_path / "world.lshw")
         handle = write_worldpack_file(built_world, path)
-        header = read_worldpack_header(path)
+        # Magic, u32 LE header length, then the canonical-JSON header.
+        with open(path, "rb") as stream:
+            assert stream.read(len(MAGIC)) == MAGIC
+            header_len = int.from_bytes(stream.read(4), "little")
+            header = json.loads(stream.read(header_len))
         assert header["fingerprint"] == handle.fingerprint
         assert header["size"] == len(built_world.population)
         names = [section["name"] for section in header["sections"]]
@@ -301,25 +314,3 @@ class TestStageStats:
         for key in ("workers_spawned", "worker_spawn_seconds",
                     "world_build_seconds", "worker_pack_loads"):
             assert key in entry
-
-
-class TestCLI:
-    def test_world_freeze_and_inspect(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "nano.lshw")
-        assert main(["--scale", "nano", "world", "freeze", path]) == 0
-        out = capsys.readouterr().out
-        assert "fingerprint:" in out
-        assert main(["world", "inspect", path]) == 0
-        out = capsys.readouterr().out
-        assert "sections:" in out
-        assert "tld_codes" in out
-
-    def test_world_inspect_rejects_non_pack(self, tmp_path):
-        from repro.cli import main
-
-        bogus = tmp_path / "not-a-pack"
-        bogus.write_bytes(b"nope")
-        with pytest.raises(SystemExit):
-            main(["world", "inspect", str(bogus)])
