@@ -22,7 +22,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.httpsim.messages import Headers, Request
+from repro.httpsim.messages import BodyPolicy, Headers, Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers
 from repro.netsim.dns import DNSServer, expand_spf_netblocks
@@ -110,7 +110,10 @@ def identify_cdn_customers(world, domains: Sequence[str],
     Every fetch draws from a per-domain derived RNG rather than the
     world's shared streams, so the outcome is a pure function of the
     world seed and the domain — checkpoint-resumed runs that skip this
-    step leave the shared streams exactly as a fresh run would.
+    step leave the shared streams exactly as a fresh run would.  That
+    private stream also makes body elision legal, and identification
+    reads only headers, so every fetch runs on the length-only lane:
+    undegraded pages are never built, only their lengths.
     """
     ip = control_ip or world.vps_address("US")
     netblocks = [ipaddress.IPv4Network(c)
@@ -118,13 +121,15 @@ def identify_cdn_customers(world, domains: Sequence[str],
     population = CDNPopulation(tested=len(domains))
     headers = browser_headers()
     headers.set("Pragma", AKAMAI_PRAGMA)
+    lengths_only = BodyPolicy.lengths_over(0)
 
     for domain in domains:
         request = Request(url=parse_url(f"http://{domain}/"),
                           headers=headers.copy())
         rng = derive_rng(world.config.seed, "identify", domain)
         try:
-            result = fetch_with_redirects(world, request, ip, rng=rng)
+            result = fetch_with_redirects(world, request, ip, rng=rng,
+                                          body_policy=lengths_only)
             responses = result.all_responses
         except FetchError:
             responses = []

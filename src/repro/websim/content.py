@@ -33,34 +33,38 @@ _ACCOUNT_BLOCK = (
     "</div>\n"
 )
 
-# Length-only synthesis (page_length) replays generate_page's draw
-# sequence but only needs each chosen word's *length*; rng._randbelow is
-# exactly the draw random.Random.choice makes, so indexing this table
-# consumes identical RNG state at a fraction of the cost.  The
-# equivalence suite pins page_length == len(generate_page) across whole
-# world populations, guarding the replication against drift.
+# Every hot draw below inlines CPython's choice/randint instead of calling
+# them: choice(seq) is seq[_randbelow(len(seq))], randint(a, b) is
+# a + _randbelow(b - a + 1), and _randbelow(n) draws
+# getrandbits(n.bit_length()) until the value is below n.  Looping on the
+# C-level getrandbits directly consumes identical RNG state at a fraction
+# of the cost, so pages, lengths and every later draw from a shared stream
+# are unchanged.  The golden page digests and the equivalence suites
+# (page_length == len(generate_page), jitter_token against the choice
+# formula) pin the coupling to the interpreter's random module.
 _WORD_LENGTHS = tuple(len(w) for w in _LOREM_WORDS)
 _N_WORDS = len(_LOREM_WORDS)
-# CPython's _randbelow(n) draws getrandbits(n.bit_length()) and rejects
-# values >= n.  page_length inlines that loop for the hot word draw (with
-# the C-level getrandbits bound locally), so the constants below must
-# track the vocabulary size.
 _WORD_BITS = _N_WORDS.bit_length()
 
 
-def _sentence(rng: random.Random) -> str:
-    n = rng.randint(6, 16)
-    words = [rng.choice(_LOREM_WORDS) for _ in range(n)]
+def _sentence(randbelow, getrandbits) -> str:
+    # Same draws as rng.randint(6, 16) followed by n rng.choice(words).
+    n = 6 + randbelow(11)
+    vocabulary, size, bits = _LOREM_WORDS, _N_WORDS, _WORD_BITS
+    words: List[str] = []
+    append = words.append
+    while n:
+        r = getrandbits(bits)
+        if r < size:
+            append(vocabulary[r])
+            n -= 1
     words[0] = words[0].capitalize()
     return " ".join(words) + "."
 
 
 def _sentence_length(randbelow, getrandbits) -> int:
-    # Same draws as _sentence — randint(a, b) is a + _randbelow(b - a + 1),
-    # and choice(words) is words[_randbelow(len(words))], whose rejection
-    # loop is inlined here — but skipping the randrange/choice wrappers
-    # and string work.  capitalize() keeps length, join adds n-1 spaces,
-    # the period adds 1: sum(words) + n.
+    # The draws of _sentence without the string work.  capitalize() keeps
+    # length, join adds n-1 spaces, the period adds 1: sum(words) + n.
     n = 6 + randbelow(11)
     lengths = _WORD_LENGTHS
     total = 0
@@ -73,13 +77,13 @@ def _sentence_length(randbelow, getrandbits) -> int:
     return total + n
 
 
-def _paragraph(rng: random.Random) -> str:
-    return " ".join(_sentence(rng) for _ in range(rng.randint(2, 6)))
+def _paragraph(randbelow, getrandbits) -> str:
+    # range(randint(2, 6)) is evaluated before any sentence draw.
+    return " ".join([_sentence(randbelow, getrandbits)
+                     for _ in range(2 + randbelow(5))])
 
 
 def _paragraph_length(randbelow, getrandbits) -> int:
-    # range(randint) is evaluated before any sentence draw, matching the
-    # generator expression in _paragraph.
     k = 2 + randbelow(5)
     total = 0
     for _ in range(k):
@@ -96,11 +100,13 @@ def generate_page(domain_name: str, category: str, seed: int = 0) -> str:
     # Log-normal page size, clipped: median ~30 KB, long right tail.
     target = int(min(max(rng.lognormvariate(10.2, 0.8), 4_000), 400_000))
     title = domain_name.split(".")[0].capitalize()
+    randbelow = rng._randbelow
+    getrandbits = rng.getrandbits
 
     parts: List[str] = [
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n",
         f"<title>{title} — {category}</title>\n",
-        f"<meta name=\"description\" content=\"{_sentence(rng)}\">\n",
+        f"<meta name=\"description\" content=\"{_sentence(randbelow, getrandbits)}\">\n",
         "<link rel=\"stylesheet\" href=\"/static/main.css\">\n",
         "<script src=\"/static/app.js\" defer></script>\n",
         "</head>\n<body>\n<header>\n<nav>\n",
@@ -122,11 +128,20 @@ def generate_page(domain_name: str, category: str, seed: int = 0) -> str:
                 f"<span class=\"price\" data-amount=\"{amount:.2f}\">"
                 f"${amount:.2f}</span></div>\n"
             )
-    while sum(len(p) for p in parts) < target:
-        parts.append(f"<section>\n<h2>{_sentence(rng)}</h2>\n")
-        for _ in range(rng.randint(1, 4)):
-            parts.append(f"<p>{_paragraph(rng)}</p>\n")
-        parts.append("</section>\n")
+    # Sections are appended until the page reaches its target length;
+    # the running total replaces re-summing every part per section.
+    size = sum(len(p) for p in parts)
+    append = parts.append
+    while size < target:
+        chunk = f"<section>\n<h2>{_sentence(randbelow, getrandbits)}</h2>\n"
+        append(chunk)
+        size += len(chunk)
+        for _ in range(1 + randbelow(4)):
+            chunk = f"<p>{_paragraph(randbelow, getrandbits)}</p>\n"
+            append(chunk)
+            size += len(chunk)
+        append("</section>\n")
+        size += _SECTION_CLOSE_LEN
     parts.append(
         f"</main>\n<footer>\n<p>&copy; 2018 {title}. All rights reserved.</p>\n"
         "</footer>\n</body>\n</html>\n"
@@ -233,6 +248,7 @@ _JITTER_PREFIX = "<!-- dyn:"
 _JITTER_SUFFIX = " -->\n"
 _TOKEN_ALPHABET = "abcdefghij0123456789"
 _TOKEN_LEN = 16
+_TOKEN_BITS = len(_TOKEN_ALPHABET).bit_length()
 #: Bytes the dynamic-content comment adds beyond the pad itself
 #: (prefix + token + ":" separator + suffix).
 JITTER_OVERHEAD = len(_JITTER_PREFIX) + _TOKEN_LEN + 1 + len(_JITTER_SUFFIX)
@@ -245,8 +261,23 @@ def jitter_pad(base_length: int, rng: random.Random,
 
 
 def jitter_token(rng: random.Random) -> str:
-    """Draw the 16-character dynamic token (the remaining jitter draws)."""
-    return "".join(rng.choice(_TOKEN_ALPHABET) for _ in range(_TOKEN_LEN))
+    """Draw the 16-character dynamic token (the remaining jitter draws).
+
+    Each character is ``rng.choice(_TOKEN_ALPHABET)`` with the rejection
+    loop inlined, so the stream advances exactly as the choice calls
+    would — the token may be drawn from the world's shared noise stream.
+    """
+    getrandbits = rng.getrandbits
+    alphabet = _TOKEN_ALPHABET
+    size = len(alphabet)
+    chars: List[str] = []
+    left = _TOKEN_LEN
+    while left:
+        r = getrandbits(_TOKEN_BITS)
+        if r < size:
+            chars.append(alphabet[r])
+            left -= 1
+    return "".join(chars)
 
 
 def jitter_length(base_length: int, pad: int) -> int:

@@ -469,9 +469,9 @@ class World:
     def _page(self, domain: Domain) -> str:
         """The domain's canonical (undegraded) front page, cached.
 
-        The page is a pure function of (seed, domain), so a concurrent
-        double-compute under threads is benign: both threads produce and
-        store the identical string.
+        The page is a pure function of (seed, domain), so the process
+        replicas of a world, each warming its own cache, all produce the
+        identical string.
         """
         base = self._page_cache.get(domain.name)
         if base is None:

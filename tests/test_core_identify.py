@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.core.identify as identify_module
+import repro.websim.world as world_module
 from repro.core.identify import (
     CDNPopulation,
     discover_appengine_netblocks,
@@ -9,6 +11,9 @@ from repro.core.identify import (
     identify_cdn_customers,
 )
 from repro.datasets.alexa import AlexaList
+from repro.httpsim.messages import BodyPolicy
+from repro.proxynet.transport import fetch_with_redirects
+from repro.websim.world import World, WorldConfig
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +118,43 @@ class TestHeaderIdentification:
         if not dual_truth:
             pytest.skip("no dual-service domains in nano world")
         assert dual_truth & identified.multi_service_domains()
+
+
+class TestLengthOnlyLane:
+    """Identification reads headers only, so it runs on the length lane."""
+
+    @staticmethod
+    def _identify(monkeypatch, body_policy=None):
+        """Identify over a fresh nano world; returns (population, pages built)."""
+        world = World(WorldConfig.nano())
+        built = []
+        real_generate = world_module.generate_page
+
+        def counting_generate(name, *args, **kwargs):
+            built.append(name)
+            return real_generate(name, *args, **kwargs)
+
+        monkeypatch.setattr(world_module, "generate_page", counting_generate)
+        if body_policy is not None:
+            def forced(*args, **kwargs):
+                kwargs["body_policy"] = body_policy
+                return fetch_with_redirects(*args, **kwargs)
+            monkeypatch.setattr(identify_module, "fetch_with_redirects", forced)
+        domains = AlexaList(world.population).full()
+        return identify_cdn_customers(world, domains), built, len(domains)
+
+    def test_same_population_as_full_bodies(self, monkeypatch):
+        lane, _, _ = self._identify(monkeypatch)
+        monkeypatch.undo()
+        full, _, _ = self._identify(monkeypatch, BodyPolicy.full())
+        assert lane.tested == full.tested
+        assert lane.customers == full.customers
+
+    def test_builds_pages_for_few_domains(self, monkeypatch):
+        _, built, tested = self._identify(monkeypatch)
+        # Only degraded (application-layer discriminating) pages are still
+        # rendered; a full-body pass builds one page per fetched domain.
+        assert len(set(built)) < 0.05 * tested
+        monkeypatch.undo()
+        _, built_full, _ = self._identify(monkeypatch, BodyPolicy.full())
+        assert len(set(built_full)) > 0.5 * tested

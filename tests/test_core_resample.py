@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.resample import (
+    _sample_range,
     agreement_distribution,
     block_rates,
     confirm_blocks,
@@ -176,3 +179,75 @@ class TestSamplingCurves:
         values = agreement_distribution(rates)
         assert values == sorted(values)
         assert len(values) == 2
+
+
+class TestSizeAndEmptyPool:
+    def test_draw_block_rates_empty_pool_has_no_draws(self):
+        assert draw_block_rates([], sizes=[1, 3], draws=50) == {1: [], 3: []}
+
+    @pytest.mark.parametrize("sizes", [[0], [3, 0], [-1]])
+    def test_draw_block_rates_rejects_sizes_below_one(self, sizes):
+        with pytest.raises(ValueError):
+            draw_block_rates([True] * 10, sizes=sizes, draws=5)
+
+    def test_false_negative_curve_empty_pool_contributes_nothing(self):
+        assert false_negative_curve({("a.com", "IR"): []}, sizes=[1, 3],
+                                    draws=50) == {1: 0.0, 3: 0.0}
+
+    def test_false_negative_curve_ignores_empty_pools(self):
+        pool = [True] * 70 + [False] * 30
+        alone = false_negative_curve({("b.com", "IR"): pool}, sizes=[1, 3],
+                                     draws=200, seed=4)
+        mixed = false_negative_curve({("a.com", "IR"): [],
+                                      ("b.com", "IR"): pool},
+                                     sizes=[1, 3], draws=200, seed=4)
+        assert mixed == alone
+
+    @pytest.mark.parametrize("sizes", [[0], [2, 0], [-3]])
+    def test_false_negative_curve_rejects_sizes_below_one(self, sizes):
+        with pytest.raises(ValueError):
+            false_negative_curve({("a.com", "IR"): [True] * 10},
+                                 sizes=sizes, draws=5)
+
+    def test_consistency_cdf_with_empty_pool(self):
+        pools = {("a.com", "IR"): [], ("b.com", "SY"): [True] * 10}
+        combined = consistency_cdf(pools, sizes=[2], draws=30, seed=0)
+        assert len(combined[2]) == 30
+
+
+class TestSampleRange:
+    """_sample_range must be rng.sample(range(n), k), state included."""
+
+    @staticmethod
+    def _check(seed, n, k):
+        fast, reference = random.Random(seed), random.Random(seed)
+        assert _sample_range(fast, n, k) == reference.sample(range(n), k)
+        assert fast.getstate() == reference.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 400), st.data())
+    def test_matches_random_sample(self, seed, n, data):
+        k = data.draw(st.integers(0, n))
+        self._check(seed, n, k)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 21, 22, 100, 1000])
+    def test_edges_k_zero_and_k_n(self, n):
+        self._check(3, n, 0)
+        self._check(3, n, n)
+
+    @pytest.mark.parametrize("n,k", [
+        (21, 5),     # shuffle branch: n <= 21 for k <= 5
+        (22, 5),     # set branch just past the small-k set size
+        (85, 6),     # shuffle branch: set size 21 + 64 at k = 6
+        (86, 6),     # set branch
+        (100, 22),   # shuffle branch: set size 21 + 256 at k = 22
+        (100, 3),    # set branch (the Figure 1/3 pools)
+    ])
+    def test_both_branches(self, n, k):
+        for seed in range(20):
+            self._check(seed, n, k)
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (0, 1), (5, -1)])
+    def test_invalid_k_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            _sample_range(random.Random(0), n, k)

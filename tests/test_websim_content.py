@@ -1,8 +1,43 @@
 """Tests for origin page generation and per-sample jitter."""
 
+import hashlib
 import random
 
-from repro.websim.content import generate_page, sample_jitter
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.websim.content import (
+    _TOKEN_ALPHABET,
+    _TOKEN_LEN,
+    generate_page,
+    jitter_token,
+    sample_jitter,
+)
+from repro.websim.world import World, WorldConfig
+
+#: blake2b-128 over every nano-population page, in population order, as
+#: the choice/randint-based renderer produced them.  The renderer inlines
+#: those draws; any drift in a page or in the stream shows up here.
+_NANO_PAGE_DIGESTS = {
+    0: "b594624619aff4a308868a47e0d288a0",
+    7: "b560d021c920c099add1407e0f7c36cb",
+}
+
+
+def _page_digest(seed: int) -> str:
+    world = World(WorldConfig.nano(seed=seed))
+    digest = hashlib.blake2b(digest_size=16)
+    for domain in world.population:
+        page = generate_page(domain.name, domain.category, seed=seed)
+        digest.update(f"{domain.name}\0{len(page)}\0".encode())
+        digest.update(page.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(_NANO_PAGE_DIGESTS))
+def test_nano_population_golden_digest(seed):
+    assert _page_digest(seed) == _NANO_PAGE_DIGESTS[seed]
 
 
 class TestGeneratePage:
@@ -57,3 +92,24 @@ class TestSampleJitter:
         rng = random.Random(3)
         lengths = {len(sample_jitter(base, rng)) for _ in range(10)}
         assert len(lengths) > 3
+
+
+class TestJitterToken:
+    """jitter_token inlines choice(); stream and token must match it."""
+
+    @staticmethod
+    def _choice_token(rng):
+        return "".join(rng.choice(_TOKEN_ALPHABET) for _ in range(_TOKEN_LEN))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 64))
+    def test_matches_choice_formula(self, seed):
+        fast, reference = random.Random(seed), random.Random(seed)
+        assert jitter_token(fast) == self._choice_token(reference)
+        assert fast.getstate() == reference.getstate()
+
+    def test_shared_stream_continues_identically(self):
+        fast, reference = random.Random(11), random.Random(11)
+        for _ in range(50):
+            assert jitter_token(fast) == self._choice_token(reference)
+            assert fast.random() == reference.random()
