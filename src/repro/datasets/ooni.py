@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.classify import VERDICT_EXPLICIT, classify_body
 from repro.core.fingerprints import FingerprintRegistry
-from repro.httpsim.messages import Request
+from repro.httpsim.messages import BodyPolicy, Request
 from repro.httpsim.url import parse_url
 from repro.httpsim.useragent import browser_headers, crawler_headers
 from repro.netsim.errors import FetchError
@@ -41,6 +41,10 @@ _TOR_BLOCK_PROTECTED = 0.70
 #: block page, captcha, and censor page is far below it, so the analyses
 #: (which only fingerprint block pages) are unaffected.
 BODY_KEEP_THRESHOLD = 6_000
+
+#: Large 200-bodies are answered length-only: ``World.fetch`` elides
+#: exactly the bodies this module drops, without building them.
+_KEEP_POLICY = BodyPolicy.lengths_over(BODY_KEEP_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -130,14 +134,14 @@ class OONICorpus:
         request = Request(url=parse_url(f"http://{domain}/"),
                           headers=browser_headers())
         try:
-            result = fetch_with_redirects(world, request, ip)
+            result = fetch_with_redirects(world, request, ip,
+                                          body_policy=_KEEP_POLICY)
         except FetchError:
             return 0, None
-        status = result.response.status
-        body = result.response.body
-        if status == 200 and len(body) > BODY_KEEP_THRESHOLD:
-            body = None
-        return status, body
+        response = result.response
+        if response.status == 200 and response.content_length > BODY_KEEP_THRESHOLD:
+            return 200, None
+        return response.status, response.body
 
 
 @dataclass

@@ -9,14 +9,17 @@ the ``_cloud-netblocks.googleusercontent.com`` mechanism the paper used.
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Generic, Iterator, List, Optional, TypeVar
 
 from repro.util.rng import derive_rng
 
 #: Module-level parse caches shared by all (frozen) Netblock instances.
 _NETWORK_CACHE: Dict[str, ipaddress.IPv4Network] = {}
 _RANGE_CACHE: Dict[str, "tuple[int, int]"] = {}
+
+V = TypeVar("V")
 
 
 def _address_to_int(address: str) -> Optional[int]:
@@ -78,6 +81,46 @@ class Netblock:
         else:
             host_index = 1 + (index % (size - 2))
         return str(net.network_address + host_index)
+
+
+class RangeIndex(Generic[V]):
+    """Disjoint netblocks mapped to values, searched by one bisect.
+
+    Three parallel lists sorted by first address (``starts``, ``ends``
+    and ``values``) form a range database: a lookup parses the address
+    once, bisects ``starts`` and checks one ``end``.  Blocks are added
+    at build time; a block overlapping one already added raises
+    ``ValueError``, so at most one block ever contains an address and
+    the answer does not depend on the order of ``add`` calls.
+    """
+
+    __slots__ = ("_starts", "_ends", "_values")
+
+    def __init__(self) -> None:
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._values: List[V] = []
+
+    def add(self, block: Netblock, value: V) -> None:
+        """Map every address of ``block`` to ``value``."""
+        first, last = block.int_range
+        pos = bisect_right(self._starts, first)
+        if ((pos and self._ends[pos - 1] >= first)
+                or (pos < len(self._starts) and self._starts[pos] <= last)):
+            raise ValueError(f"netblock {block.cidr} overlaps a registered block")
+        self._starts.insert(pos, first)
+        self._ends.insert(pos, last)
+        self._values.insert(pos, value)
+
+    def find(self, address: str) -> Optional[V]:
+        """The value of the block containing ``address`` (None if none)."""
+        value = _address_to_int(address)
+        if value is None:
+            return None
+        pos = bisect_right(self._starts, value) - 1
+        if pos >= 0 and value <= self._ends[pos]:
+            return self._values[pos]
+        return None
 
 
 class AddressAllocator:

@@ -63,6 +63,10 @@ class LRUCache(Generic[K, V]):
             except KeyError:  # concurrent eviction emptied the dict
                 break
 
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._data.clear()
+
     def __len__(self) -> int:
         return len(self._data)
 

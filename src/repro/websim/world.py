@@ -349,12 +349,13 @@ class World:
         property the parallel scan engine's determinism contract rests on.
 
         ``body_policy`` lets a caller that only keeps *lengths* of large
-        200-bodies (the scan pipeline) ask for those bodies to be elided:
-        the response then carries ``body_length`` and an empty ``body``.
-        Elision requires a private ``rng`` — the shared noise stream must
-        see every draw, while a task-private stream is discarded with the
-        probe, so skipping its trailing token draws is unobservable.
-        Block pages, errors, and short pages always materialize.
+        200-bodies (the scan pipeline, OONI generation) ask for those
+        bodies to be elided: the response then carries ``body_length`` and
+        an empty ``body``.  On the shared noise stream the discarded
+        body's token is still drawn, so the stream advances draw for draw;
+        a task-private ``rng`` is discarded with the probe, so skipping its
+        trailing token draws is unobservable.  Block pages, errors, and
+        short pages always materialize.
         """
         self._fetch_count.increment()
         domain = self._resolve(request.url.host)
@@ -414,19 +415,18 @@ class World:
         headers = edge_headers
         headers.add("Content-Type", "text/html; charset=utf-8")
 
-        elide = (body_policy is not None and body_policy.elides
-                 and rng is not None)
+        noise = rng if rng is not None else self._noise_rng
+        elide = body_policy is not None and body_policy.elides
         if elide and not degraded:
             # Fast lane: the undegraded base length comes from the cached
             # length-only synthesis — no page string is ever built unless
             # the jittered result lands under the keep threshold.
             base_length = self._page_length(domain)
-            pad = jitter_pad(base_length, rng)
+            pad = jitter_pad(base_length, noise)
             body_length = jitter_length(base_length, pad)
             if body_length > body_policy.length_threshold:
-                return Response(status=200, headers=headers, url=request.url,
-                                body_length=body_length)
-            body = render_jitter(self._page(domain), pad, jitter_token(rng))
+                return self._elided(headers, request, body_length, rng)
+            body = render_jitter(self._page(domain), pad, jitter_token(noise))
             return Response(status=200, headers=headers, body=body,
                             url=request.url)
 
@@ -443,16 +443,25 @@ class World:
             # Degraded combinations are sparse; materializing the base is
             # unavoidable (price rescaling shifts digit counts), but the
             # jitter concat can still be skipped for large pages.
-            pad = jitter_pad(len(base), rng)
+            pad = jitter_pad(len(base), noise)
             body_length = jitter_length(len(base), pad)
             if body_length > body_policy.length_threshold:
-                return Response(status=200, headers=headers, url=request.url,
-                                body_length=body_length)
-            body = render_jitter(base, pad, jitter_token(rng))
+                return self._elided(headers, request, body_length, rng)
+            body = render_jitter(base, pad, jitter_token(noise))
             return Response(status=200, headers=headers, body=body,
                             url=request.url)
-        body = sample_jitter(base, rng if rng is not None else self._noise_rng)
+        body = sample_jitter(base, noise)
         return Response(status=200, headers=headers, body=body, url=request.url)
+
+    def _elided(self, headers: Headers, request: Request, body_length: int,
+                rng: Optional[random.Random]) -> Response:
+        """A length-only 200 whose jitter pad has already been drawn."""
+        if rng is None:
+            # The shared noise stream must see the token draws the full
+            # body would have made; a private stream dies with the probe.
+            jitter_token(self._noise_rng)
+        return Response(status=200, headers=headers, url=request.url,
+                        body_length=body_length)
 
     @property
     def fetch_count(self) -> int:

@@ -15,8 +15,10 @@ mapped read-only by every worker:
 * **JSON sections** (domain names, policies, address plan, GeoIP
   entries, DNS zones) are decoded per worker into the exact objects the
   build phase produced; each preserves the orderings the simulation's
-  determinism contract depends on (GeoIP first-match order, allocator
-  insertion order, policy-map insertion order).
+  determinism contract depends on (GeoIP blocks are disjoint, overlap
+  rejected, and replay in registration order, which fixes the error
+  model's country list; allocator insertion order; policy-map insertion
+  order).
 
 What is *not* in a pack — ``_page_cache``, ``_clearances``, counters,
 the shared RNG streams — is per-worker mutable state and is freshly

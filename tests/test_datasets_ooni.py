@@ -4,11 +4,33 @@ import pytest
 
 from repro.datasets.citizenlab import CitizenLabList
 from repro.datasets.ooni import (
+    BODY_KEEP_THRESHOLD,
     OONICorpus,
     OONIMeasurement,
     control_blocking_stats,
     find_geoblock_confounding,
 )
+from repro.httpsim.messages import Request
+from repro.httpsim.url import parse_url
+from repro.httpsim.useragent import browser_headers
+from repro.netsim.errors import FetchError
+from repro.proxynet.transport import fetch_with_redirects
+from repro.websim.world import World, WorldConfig
+
+
+def _full_body_probe(world, domain, ip):
+    """``OONICorpus._probe`` as it was before the length-only lane."""
+    request = Request(url=parse_url(f"http://{domain}/"),
+                      headers=browser_headers())
+    try:
+        result = fetch_with_redirects(world, request, ip)
+    except FetchError:
+        return 0, None
+    status = result.response.status
+    body = result.response.body
+    if status == 200 and len(body) > BODY_KEEP_THRESHOLD:
+        body = None
+    return status, body
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +84,25 @@ class TestCorpusGeneration:
                                 seed=3, measurements_per_pair=1)
         assert [(m.domain, m.local_status) for m in a] == \
             [(m.domain, m.local_status) for m in b]
+
+    def test_length_only_lane_matches_full_bodies(self, monkeypatch):
+        # Twin worlds: the corpus and the shared noise stream must come
+        # out identical whether large bodies are elided or built.
+        lane_world = World(WorldConfig.nano())
+        full_world = World(WorldConfig.nano())
+        domains = [d.name for d in lane_world.population]
+        countries = lane_world.registry.luminati_codes()[:5]
+        lane = OONICorpus.generate(lane_world, domains, countries=countries,
+                                   seed=5)
+        monkeypatch.setattr(OONICorpus, "_probe",
+                            staticmethod(_full_body_probe))
+        full = OONICorpus.generate(full_world, domains, countries=countries,
+                                   seed=5)
+        assert list(lane) == list(full)
+        assert sum(m.local_status == 200 and m.local_body is None
+                   for m in lane) > 100
+        assert lane_world._noise_rng.getstate() == \
+            full_world._noise_rng.getstate()
 
 
 class TestConfoundingAnalysis:

@@ -39,6 +39,7 @@ from repro.websim.content import (
     render_jitter,
     sample_jitter,
 )
+from repro.websim.world import World, WorldConfig
 
 _CATEGORIES = ("News", "Shopping", "Travel", "Auctions", "Personal Vehicles",
                "Business", "Health", "Government")
@@ -165,26 +166,46 @@ class TestFetchEquivalence:
         assert checked > 100
         assert elided > 50  # the lane actually engaged
 
-    def test_shared_stream_never_elides(self, nano_world):
-        # Without a task-private rng the shared noise stream must see
-        # every draw, so the policy is ignored and the body materializes.
-        policy = BodyPolicy.lengths_over(0)
-        for domain in nano_world.population:
-            if domain.dead or domain.redirect_loop or \
-                    domain.name in nano_world.policies:
+    def test_shared_stream_elision_keeps_stream(self):
+        # Without a task-private rng the draws come from the world's shared
+        # streams.  An elided fetch must still advance them draw for draw:
+        # twin worlds, one eliding and one materializing, stay in lockstep.
+        full_world = World(WorldConfig.nano())
+        fast_world = World(WorldConfig.nano())
+        policy = BodyPolicy.lengths_over(BODY_KEEP_THRESHOLD)
+        countries = full_world.registry.luminati_codes()[:4]
+        elided = degraded = 0
+        for domain in full_world.population:
+            if domain.dead or domain.redirect_loop:
                 continue
-            ip = nano_world.residential_address("US", derive_rng(6, "ip"))
-            request = Request(url=parse_url(f"http://{domain.name}/"),
-                              headers=browser_headers())
-            try:
-                response = nano_world.fetch(request, ip, body_policy=policy)
-            except FetchError:
-                continue
-            if response.status == 200:
-                assert response.body_length is None
-                assert response.body
-                return
-        pytest.fail("no 200 response found")
+            degradation = full_world.degradations.get(domain.name)
+            extra = sorted(degradation.price_multipliers) if degradation else []
+            for country in countries + extra[:2]:
+                ip = full_world.residential_address(
+                    country, derive_rng(6, "ip", country, domain.name))
+                request = Request(url=parse_url(f"http://{domain.name}/"),
+                                  headers=browser_headers())
+                try:
+                    full = full_world.fetch(request, ip)
+                except FetchError as exc:
+                    with pytest.raises(type(exc)):
+                        fast_world.fetch(request, ip, body_policy=policy)
+                    continue
+                fast = fast_world.fetch(request, ip, body_policy=policy)
+                assert fast.status == full.status
+                assert fast.content_length == full.content_length
+                if fast.body_length is None:
+                    assert fast.body == full.body
+                else:
+                    elided += 1
+                    degraded += bool(degradation
+                                     and degradation.applies(country))
+                assert fast_world._noise_rng.getstate() == \
+                    full_world._noise_rng.getstate()
+                assert fast_world._render_rng.getstate() == \
+                    full_world._render_rng.getstate()
+        assert elided > 50  # the lane engaged on the shared stream
+        assert degraded > 0  # including the degraded-page branch
 
 
 class TestDatasetEquivalence:

@@ -105,7 +105,8 @@ class TestRoundTrip:
 
     def test_geoip_entries_and_country_order(self, built_world,
                                              loaded_world):
-        # First-match semantics make entry order part of GeoIP behavior.
+        # Registration order fixes the country list the error model
+        # draws a wrong country from.
         assert loaded_world.geoip._entries == built_world.geoip._entries
         assert list(loaded_world.geoip._countries) == \
             list(built_world.geoip._countries)
